@@ -32,8 +32,6 @@ from .dbar import SOLVABILITY_TOL, Unsolvable, cylinder_problem, dbar_residual, 
 from .domain import BoundaryDensity, CircleDomain, DomainError, Hole
 from .dtn import (
     CLUSTER_TOL,
-    DROP_TOL,
-    ConditioningFailure,
     MassMatrixDegenerate,
     steklov_spectrum,
 )
@@ -180,7 +178,7 @@ def _cmd_spectrum(args) -> tuple[RunManifest, None]:
             "eigs": args.eigs,
             "out": args.out,
         },
-        tolerances={"cluster_tol": args.cluster_tol, "drop_tol": DROP_TOL},
+        tolerances={"cluster_tol": args.cluster_tol},
     )
     domain = _domain_from(args)
     dens = BoundaryDensity.uniform(domain.k)
@@ -246,7 +244,7 @@ def _cmd_maximize(args) -> tuple[RunManifest, None]:
             "certificate": bool(args.certificate),
             "out": args.out,
         },
-        tolerances={"cluster_tol": CLUSTER_TOL, "drop_tol": DROP_TOL},
+        tolerances={"cluster_tol": CLUSTER_TOL},
     )
     domain = _domain_from(args)
     state = optimize_density(
@@ -293,7 +291,7 @@ def _cmd_sweep(args) -> tuple[RunManifest, None]:
             "budget": args.budget,
             "out": args.out,
         },
-        tolerances={"cluster_tol": CLUSTER_TOL, "drop_tol": DROP_TOL},
+        tolerances={"cluster_tol": CLUSTER_TOL},
     )
     workers = min(_threads(), len(ks))
     if workers > 1:
@@ -488,7 +486,6 @@ def dispatch(argv) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 64
     except (
-        ConditioningFailure,
         MassMatrixDegenerate,
         BudgetExhausted,
         Unsolvable,

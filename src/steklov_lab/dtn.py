@@ -1,13 +1,14 @@
 """Weighted Steklov spectra on circle domains by Rayleigh-Ritz.
 
 ``steklov_spectrum`` assembles the harmonic-basis matrices and solves the
-generalized symmetric problem ``A x = sigma B x`` on the B-orthogonal
-complement of the constant: B is factored by pivoted Cholesky, columns whose
-pivot falls below a relative threshold are dropped (stability over
-completeness at fixed degree), the problem is whitened to standard form, and
-the constant direction is deflated exactly so sigma_0 = 0 is returned with the
-constant eigenvector.  All returned eigenvalues are Rayleigh-Ritz upper bounds
-of the true Steklov eigenvalues and decrease as the degree M grows.
+generalized symmetric problem ``A x = sigma B x`` on the complement of the
+constant with zero weighted boundary mean: the Dirichlet block of the
+non-constant elements is factored by Cholesky, the weighted mean is
+subtracted from the mass block (which deflates the constant exactly), and the
+problem is whitened to a standard one whose eigenvalues are 1 / sigma.
+sigma_0 = 0 is returned with the constant eigenvector.  All returned
+eigenvalues are Rayleigh-Ritz upper bounds of the true Steklov eigenvalues
+and decrease as the degree M grows.
 """
 
 from __future__ import annotations
@@ -16,20 +17,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.linalg.lapack import dpstrf
 
 from .basis import HarmonicBasis, boundary_matrices, build_basis
-from .domain import CircleDomain, boundary_length
+from .domain import CircleDomain
 
-DROP_TOL = 1e-10
 CLUSTER_TOL = 1e-6
 
 
 class MassMatrixDegenerate(ValueError):
-    pass
-
-
-class ConditioningFailure(RuntimeError):
     pass
 
 
@@ -42,9 +37,8 @@ class SteklovSpectrum:
     """Discrete Steklov spectrum with eigenvectors in full basis coordinates.
 
     eigenvalues[0] is exactly 0 (constants).  Columns of ``eigenvectors`` are
-    B-orthonormal and have zero weighted boundary mean; entries of dropped
-    basis elements are zero.  ``clusters`` groups indices whose relative gap is
-    below the clustering tolerance.
+    B-orthonormal and have zero weighted boundary mean.  ``clusters`` groups
+    indices whose relative gap is below the clustering tolerance.
     """
 
     eigenvalues: np.ndarray
@@ -99,7 +93,6 @@ def steklov_spectrum(
     *,
     basis: HarmonicBasis | None = None,
     cluster_tol: float = CLUSTER_TOL,
-    drop_tol: float = DROP_TOL,
 ) -> SteklovSpectrum:
     """First ``n_eigs`` weighted Steklov eigenvalues (sigma_0 = 0 included)."""
     if basis is None:
@@ -107,7 +100,7 @@ def steklov_spectrum(
     sys_ = boundary_matrices(basis, density)
     return solve_eigensystem(
         sys_.A, sys_.B, sys_.m, n_eigs,
-        cluster_tol=cluster_tol, drop_tol=drop_tol,
+        cluster_tol=cluster_tol,
         metadata={"M": basis.M, "n_quad": basis.n_quad},
     )
 
@@ -119,77 +112,51 @@ def solve_eigensystem(
     n_eigs: int | None = None,
     *,
     cluster_tol: float = CLUSTER_TOL,
-    drop_tol: float = DROP_TOL,
     metadata: dict | None = None,
 ) -> SteklovSpectrum:
-    """Solve A x = sigma B x with constant deflation; element 0 must be the constant."""
+    """Solve A x = sigma B x with constant deflation; element 0 must be the constant.
+
+    Because element 0 is the constant, A[0] = 0 and B[0] = m.  With L = m[0]
+    and primes marking the non-constant block, the problem on {m . x = 0} is
+    A' x' = sigma (B' - m' m'^T / L) x'.  A' = R^T R is positive definite, so
+    it is solved as the standard problem C y = mu y with
+    C = R^-T (B' - m' m'^T / L) R^-1 and sigma = 1 / mu.  Directions with
+    mu <= (n - 1) eps mu_max carry no boundary mass and are dropped; a
+    Dirichlet block that is not positive definite raises LinAlgError.
+    """
     n = A.shape[0]
-    diagB = np.diag(B)
-    if not np.any(diagB > 0.0):
-        raise MassMatrixDegenerate("boundary mass matrix has no positive diagonal")
-
-    # 1. pivoted Cholesky of B; keep columns with pivot >= drop_tol * max pivot
-    c, piv, rank, info = dpstrf(B, lower=0, tol=drop_tol * float(np.max(diagB)))
-    if info < 0 or rank < 1:
-        raise MassMatrixDegenerate(f"pivoted factorization failed (info={info})")
-    keep = np.sort(piv[:rank] - 1)
-    dropped = n - rank
-    if 0 not in keep:
-        raise ConditioningFailure("constant element lost in pivoting")
-
-    Ak = A[np.ix_(keep, keep)]
-    Bk = B[np.ix_(keep, keep)]
-    try:
-        Lf = sla.cholesky(Bk, lower=True)
-    except sla.LinAlgError as exc:  # pragma: no cover
-        raise ConditioningFailure(f"mass factorization failed after drop: {exc}")
-
-    # 2. whiten and deflate the constant: its whitened coordinate y0 = L^T e0
-    const_pos = int(np.flatnonzero(keep == 0)[0])
-    e0 = np.zeros(rank)
-    e0[const_pos] = 1.0
-    y0 = Lf.T @ e0
-    y0n = y0 / np.linalg.norm(y0)
-    # Householder reflector mapping y0n to +-e1; complement columns span the
-    # admissible (weighted-mean-zero) subspace
-    v = y0n.copy()
-    v[0] += np.sign(y0n[0]) if y0n[0] != 0 else 1.0
-    v /= np.linalg.norm(v)
-    H = np.eye(rank) - 2.0 * np.outer(v, v)
-    Q = H[:, 1:]
-
-    Ci = sla.solve_triangular(Lf, Ak, lower=True)
-    C = sla.solve_triangular(Lf, Ci.T, lower=True).T
-    C = 0.5 * (C + C.T)
-    Chat = Q.T @ C @ Q
-
-    # 3. deterministic symmetric eigensolver (tridiagonalize + implicit shifts)
-    w, V = sla.eigh(Chat, driver="ev")
-    if w[0] < -1e-8:
-        raise ConditioningFailure(f"negative eigenvalue {w[0]:.3e} beyond tolerance")
-    w = np.clip(w, 0.0, None)
-
-    want = len(w) + 1 if n_eigs is None else min(n_eigs, len(w) + 1)
-    vals = np.empty(want)
-    vecs = np.zeros((n, want))
-    vals[0] = 0.0
     L_total = float(m[0])  # m against the constant element is the weighted length
-    vecs[keep[const_pos], 0] = 1.0 / np.sqrt(B[0, 0])
-    for i in range(1, want):
-        vals[i] = w[i - 1]
-        y = Q @ V[:, i - 1]
-        x = sla.solve_triangular(Lf.T, y, lower=False)
-        vecs[keep, i] = x
+    if not L_total > 0.0:
+        raise MassMatrixDegenerate(f"weighted boundary length {L_total} is not positive")
 
-    # residuals on the retained subspace
-    res = np.zeros(want)
-    for i in range(want):
-        r = Ak @ vecs[keep, i] - vals[i] * (Bk @ vecs[keep, i])
-        den = np.linalg.norm(Bk @ vecs[keep, i])
-        res[i] = np.linalg.norm(r) / max(den, 1e-300)
+    mp = m[1:]
+    R = sla.cholesky(A[1:, 1:])
+    S = B[1:, 1:] - np.outer(mp, mp) / L_total
+    Ci = sla.solve_triangular(R, S, trans="T")
+    C = sla.solve_triangular(R, Ci.T, trans="T").T
+    C = 0.5 * (C + C.T)
+
+    # deterministic symmetric eigensolver (tridiagonalize + implicit shifts)
+    mu, Y = sla.eigh(C, driver="ev")
+    mu, Y = mu[::-1], Y[:, ::-1]
+    kept = int(np.count_nonzero(mu > (n - 1) * np.finfo(float).eps * abs(mu[0])))
+
+    want = kept + 1 if n_eigs is None else min(n_eigs, kept + 1)
+    mu = mu[: want - 1]
+    X = sla.solve_triangular(R, Y[:, : want - 1]) / np.sqrt(mu)
+    vals = np.concatenate(([0.0], 1.0 / mu))
+    vecs = np.zeros((n, want))
+    vecs[0, 0] = 1.0 / np.sqrt(L_total)
+    vecs[0, 1:] = -(mp @ X) / L_total
+    vecs[1:, 1:] = X
+
+    Bv = B @ vecs
+    res = np.linalg.norm(A @ vecs - Bv * vals, axis=0) / np.maximum(
+        np.linalg.norm(Bv, axis=0), 1e-300
+    )
 
     md = dict(metadata or {})
-    md.update({"dropped": int(dropped), "residuals": res, "rank": int(rank)})
+    md.update({"dropped": n - 1 - kept, "residuals": res, "rank": kept + 1})
     return SteklovSpectrum(
         eigenvalues=vals,
         eigenvectors=vecs,
@@ -259,11 +226,3 @@ def multiplicity_check(
         mult = next(len(c) for c in clusters if i in c)
     bound = multiplicity_bound(i, gamma, orientable)
     return mult, bound, mult <= bound
-
-
-def spectrum_with_length(domain: CircleDomain, density, M: int = 16,
-                         n_eigs: int | None = None) -> SteklovSpectrum:
-    """Convenience wrapper that also cross-checks the stored boundary length."""
-    spec = steklov_spectrum(domain, density, M, n_eigs)
-    spec.metadata["boundary_length_direct"] = boundary_length(domain, density)
-    return spec

@@ -149,6 +149,19 @@ def _mu_integral(samples: BoundaryMeasureSamples, funcs) -> float:
     return total
 
 
+def _weight_gradient(samples: BoundaryMeasureSamples, sq, sigma: float, L: float):
+    """Mean-zero first variation of sigma from per-circle squared eigenfunctions.
+
+    ``sq`` holds u^2 per circle for a unit-norm eigenfunction u (or an average
+    of such squares over a cluster); the result is -sigma (u^2 - avg) shifted
+    to zero mean against the weighted measure of total mass L.
+    """
+    avg = _mu_integral(samples, sq) / L
+    g = [-sigma * (q - avg) for q in sq]
+    shift = _mu_integral(samples, g) / L
+    return [gj - shift for gj in g]
+
+
 def density_gradient(domain, density, coeffs, *, M: int = 16,
                      basis: HarmonicBasis | None = None,
                      residual_tol: float = 1e-8):
@@ -185,10 +198,7 @@ def density_gradient(domain, density, coeffs, *, M: int = 16,
     x = x / math.sqrt(den)
     L = samples.total_mass()
     u = [x @ basis.traces(j) for j in range(domain.k)]
-    avg = _mu_integral(samples, [uj**2 for uj in u]) / L
-    g = [-sigma * (uj**2 - avg) for uj in u]
-    shift = _mu_integral(samples, g) / L
-    return tuple(gj - shift for gj in g)
+    return tuple(_weight_gradient(samples, [uj**2 for uj in u], sigma, L))
 
 
 # -- inner ascent -------------------------------------------------------------
@@ -212,15 +222,10 @@ def _cluster_directions(basis, samples, spec, near_width=1e-2):
     k = samples.k
     tiny = GRAD_TOL * (1.0 + sigma)
 
-    def gradient(sq):
-        avg = _mu_integral(samples, sq) / L
-        g = [-sigma * (q - avg) for q in sq]
-        shift = _mu_integral(samples, g) / L
-        return [gj - shift for gj in g]
-
     def averaged(cols):
         us = [cols.T @ basis.traces(j) for j in range(k)]
-        g = gradient([np.mean(us[j] ** 2, axis=0) for j in range(k)])
+        sq = [np.mean(us[j] ** 2, axis=0) for j in range(k)]
+        g = _weight_gradient(samples, sq, sigma, L)
         sup = max(float(np.max(np.abs(gj))) for gj in g)
         return g, sup, us
 
@@ -238,7 +243,7 @@ def _cluster_directions(basis, samples, spec, near_width=1e-2):
         dirs.append(tuple(gj / sup_strict for gj in g_strict))
     if strict.shape[1] > 1:
         for i in range(strict.shape[1]):
-            gi = gradient([us[j][i] ** 2 for j in range(k)])
+            gi = _weight_gradient(samples, [us[j][i] ** 2 for j in range(k)], sigma, L)
             s = max(float(np.max(np.abs(gj))) for gj in gi)
             if s > tiny:
                 dirs.append(tuple(gj / s for gj in gi))

@@ -52,12 +52,9 @@ def diff_matrix(x: np.ndarray) -> np.ndarray:
     """Polynomial collocation differentiation matrix on arbitrary nodes."""
     x = np.asarray(x, dtype=float)
     b = barycentric_weights(x)
-    n = len(x)
-    D = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                D[i, j] = (b[j] / b[i]) / (x[i] - x[j])
+    diff = x[:, None] - x[None, :]
+    np.fill_diagonal(diff, np.inf)  # diagonal entries of the quotient are 0
+    D = (b[None, :] / b[:, None]) / diff
     # negative-sum trick keeps row sums exactly zero
     np.fill_diagonal(D, -np.sum(D, axis=1))
     return D
@@ -68,14 +65,14 @@ def interp_matrix(x: np.ndarray, xq: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     xq = np.atleast_1d(np.asarray(xq, dtype=float))
     b = barycentric_weights(x)
-    P = np.zeros((len(xq), len(x)))
-    for q, t in enumerate(xq):
-        hit = np.flatnonzero(np.isclose(t, x, rtol=0.0, atol=1e-14))
-        if hit.size:
-            P[q, hit[0]] = 1.0
-            continue
-        terms = b / (t - x)
-        P[q] = terms / np.sum(terms)
+    diff = xq[:, None] - x[None, :]
+    hit = np.abs(diff) <= 1e-14
+    terms = b / np.where(hit, 1.0, diff)
+    P = terms / np.sum(terms, axis=1, keepdims=True)
+    # a query on a node takes that node's value exactly
+    on_node = np.flatnonzero(hit.any(axis=1))
+    P[on_node] = 0.0
+    P[on_node, np.argmax(hit[on_node], axis=1)] = 1.0
     return P
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .closedform import critical_parameter
-from .spectral1d import diff_matrix, fourier_diff, gauss_legendre, interp_matrix
+from .spectral1d import diff_matrix, fourier_diff, gauss_legendre
 
 DISK_T = 16.0  # exponential polar truncation; leaves area pi*exp(-2*DISK_T)
 

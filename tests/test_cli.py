@@ -179,13 +179,15 @@ def test_invalid_domain_exits_2(workdir):
 
 
 def test_numerical_failure_exits_3(workdir, monkeypatch):
-    def boom(*a, **kw):
-        raise MassMatrixDegenerate("synthetic failure")
+    # a degenerate weight, and a Dirichlet block whose Cholesky fails
+    for exc in (MassMatrixDegenerate, np.linalg.LinAlgError):
+        def boom(*a, exc=exc, **kw):
+            raise exc("synthetic failure")
 
-    monkeypatch.setattr(cli, "steklov_spectrum", boom)
-    rc = cli.dispatch(["spectrum", "--disk", "--out", "x.json"])
-    assert rc == 3
-    assert read_log(workdir) == []
+        monkeypatch.setattr(cli, "steklov_spectrum", boom)
+        rc = cli.dispatch(["spectrum", "--disk", "--out", "x.json"])
+        assert rc == 3
+        assert read_log(workdir) == []
 
 
 def test_threads_env_validation(workdir, monkeypatch):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from steklov_lab.basis import boundary_matrices, build_basis
 from steklov_lab.closedform import annulus_spectrum
@@ -10,6 +11,7 @@ from steklov_lab.domain import (
     BoundaryMeasureSamples,
     CircleDomain,
     Hole,
+    boundary_length,
 )
 from steklov_lab.dtn import (
     IndexOutOfRange,
@@ -20,7 +22,6 @@ from steklov_lab.dtn import (
     multiplicity_check,
     sigma1,
     solve_eigensystem,
-    spectrum_with_length,
     steklov_spectrum,
 )
 
@@ -73,6 +74,44 @@ def test_matched_annulus_agrees_with_closed_form():
     exact = annulus_spectrum(T, fT, 8).eigenvalues[:8]
     assert np.max(np.abs(spec.eigenvalues - np.array(exact))) < 1e-9
     assert abs(spec.boundary_length - 4 * math.pi * fT) < 1e-10
+    assert abs(spec.boundary_length - boundary_length(dom, samples)) < 1e-10
+
+
+def _seeded_weighted_domain(seed, k):
+    """Disjoint random holes and a random smooth log-density, from one seed."""
+    rng = np.random.default_rng(seed)
+    while True:
+        holes = []
+        for _ in range(k - 1):
+            r = rng.uniform(0.06, 0.18)
+            c = rng.uniform(0.0, 0.92 - r) * np.exp(2j * math.pi * rng.uniform())
+            holes.append(Hole(complex(c), float(r)))
+        if all(
+            abs(a.center - b.center) >= a.radius + b.radius + 0.04
+            for i, a in enumerate(holes) for b in holes[i + 1:]
+        ):
+            break
+    coeffs = tuple(
+        (0.0,) + tuple(rng.normal(0.0, 0.3 / (1 + i // 2)) for i in range(6))
+        for _ in range(k)
+    )
+    return CircleDomain(tuple(holes)), BoundaryDensity(coeffs)
+
+
+def test_matches_dense_generalized_reference():
+    # the weighted-mean deflation against scipy's generalized solver on the
+    # same non-constant block
+    dom, dens = _seeded_weighted_domain(4, 4)
+    basis = build_basis(dom, 24)
+    mats = boundary_matrices(basis, dens)
+    A, B, m = mats.A, mats.B, mats.m
+    ref = sla.eigh(
+        A[1:, 1:], B[1:, 1:] - np.outer(m[1:], m[1:]) / m[0], eigvals_only=True
+    )
+    spec = steklov_spectrum(dom, dens, basis=basis, n_eigs=11)
+    assert spec.metadata["dropped"] == 0
+    assert np.max(np.abs(spec.eigenvalues[1:] / ref[:10] - 1.0)) < 1e-9
+    assert abs(spec.boundary_length - boundary_length(dom, dens)) < 1e-10
 
 
 def test_ritz_values_decrease_with_degree():
@@ -98,6 +137,12 @@ def test_degenerate_mass_matrix():
         solve_eigensystem(np.eye(3), np.zeros((3, 3)), np.zeros(3))
 
 
+def test_indefinite_dirichlet_block_raises():
+    A = np.diag([0.0, 1.0, -1.0])
+    with pytest.raises(np.linalg.LinAlgError):
+        solve_eigensystem(A, np.eye(3), np.array([1.0, 0.0, 0.0]))
+
+
 def test_rank_deficient_mass_drops_columns():
     A = np.array([[0.0, 0.0, 0.0], [0.0, 2.0, 1.0], [0.0, 1.0, 2.0]])
     B = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
@@ -105,6 +150,9 @@ def test_rank_deficient_mass_drops_columns():
     assert isinstance(spec, SteklovSpectrum)
     assert spec.metadata["dropped"] == 1
     assert spec.eigenvalues[0] == 0.0
+    # the massless direction (0, 1, -1) is dropped, not a basis column, so the
+    # exact generalized eigenvalue on span(e1, e2) survives
+    assert np.max(np.abs(spec.eigenvalues - [0.0, 1.5])) < 1e-14
 
 
 def test_sigma1_helper():
@@ -112,12 +160,6 @@ def test_sigma1_helper():
     assert abs(val - 1.0) < 1e-10
     assert vecs.shape[1] == 2
     assert spec.sigma1 == val
-
-
-def test_spectrum_with_length():
-    dom = CircleDomain((Hole(0.1, 0.3),))
-    spec = spectrum_with_length(dom, BoundaryDensity.uniform(2), M=8)
-    assert abs(spec.boundary_length - spec.metadata["boundary_length_direct"]) < 1e-10
 
 
 def test_coarse_bound_values():

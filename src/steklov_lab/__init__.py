@@ -18,14 +18,13 @@ from .domain import (
     BoundaryMeasureSamples,
     CircleDomain,
     Hole,
-    boundary_length,
+    as_samples,
     heat_smooth,
     normalize,
-    sample_measure,
     validate,
 )
 from .basis import HarmonicBasis, EigenSystemMatrices, build_basis, dirichlet_matrix, boundary_matrices
-from .dtn import SteklovSpectrum, steklov_spectrum, sigma1, coarse_bound, multiplicity_check
+from .dtn import SteklovSpectrum, steklov_spectrum, coarse_bound, multiplicity_check
 from .maximizer import (
     AscentState,
     Certificate,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import BoundaryDensity, BoundaryMeasureSamples, CircleDomain, validate
+from .domain import BoundaryMeasureSamples, CircleDomain, validate
 
 MAX_DEGREE = 64
 
@@ -160,15 +160,6 @@ class HarmonicBasis:
             self._dnu_cache[j] = 2.0 * (dz * eta[None, :]).real
         return self._dnu_cache[j]
 
-    def density_on_circle(self, j: int, density) -> np.ndarray:
-        """lambda at circle j's quadrature nodes for either weight representation."""
-        th = self.thetas()
-        if isinstance(density, BoundaryMeasureSamples):
-            return density.density_values(j, th)
-        if isinstance(density, BoundaryDensity):
-            return density.values(j, th)
-        raise TypeError(f"unsupported density type {type(density)!r}")
-
 
 @dataclass(frozen=True)
 class EigenSystemMatrices:
@@ -197,15 +188,21 @@ def dirichlet_matrix(basis: HarmonicBasis) -> np.ndarray:
     return basis._dirichlet
 
 
-def boundary_matrices(basis: HarmonicBasis, density) -> EigenSystemMatrices:
-    """A, B, m for the weighted Steklov eigensystem A x = sigma B x."""
+def boundary_matrices(
+    basis: HarmonicBasis, samples: BoundaryMeasureSamples
+) -> EigenSystemMatrices:
+    """A, B, m for the weighted Steklov eigensystem A x = sigma B x.
+
+    ``samples`` must sit on the basis quadrature grid (``basis.n_quad``
+    points per circle); ``domain.as_samples`` puts any weight there.
+    """
     n = basis.size
     A = dirichlet_matrix(basis)
     B = np.zeros((n, n))
     mvec = np.zeros(n)
     for j in range(basis.domain.k):
         P = basis.traces(j)
-        lam = basis.density_on_circle(j, density)
+        lam = samples.density_values(j)
         w = lam * basis.ds_weight(j)
         B += (P * w[None, :]) @ P.T
         mvec += P @ w

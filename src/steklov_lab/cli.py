@@ -12,11 +12,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,19 +96,6 @@ class RunManifest:
         out["timing"] = self.timing
         out["manifest_hash"] = self.hash
         return out
-
-
-def _threads() -> int:
-    raw = os.environ.get("STEKLOV_LAB_THREADS")
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise BadFlag(f"STEKLOV_LAB_THREADS must be an integer, got {raw!r}")
-    if n < 1:
-        raise BadFlag("STEKLOV_LAB_THREADS must be >= 1")
-    return n
 
 
 def _append_log(manifest: RunManifest) -> None:
@@ -293,15 +277,7 @@ def _cmd_sweep(args) -> tuple[RunManifest, None]:
         },
         tolerances={"cluster_tol": CLUSTER_TOL},
     )
-    workers = min(_threads(), len(ks))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            tables = list(
-                pool.map(lambda k: sweep_k([k], args.symmetry, args.budget), ks)
-            )
-        entries = [t[0] for t in tables]
-    else:
-        entries = sweep_k(ks, args.symmetry, args.budget)
+    entries = sweep_k(ks, args.symmetry, args.budget)
     rows = [
         [e.k, float(e.value), ";".join(e.flags) if e.flags else "ok"]
         for e in entries

@@ -2,11 +2,12 @@
 
 A domain is the open unit disk with ``k - 1`` closed disjoint circular holes
 removed; its boundary has ``k`` circle components indexed 0 (outer unit
-circle) then the holes in order.  Boundary weights are stored either as a
+circle) then the holes in order.  Boundary weights are given either as a
 truncated Fourier series of ``log(lambda)`` per component (``BoundaryDensity``)
 or as equispaced samples of the measure density ``lambda * rho`` with respect
-to the angle variable (``BoundaryMeasureSamples``).  Heat smoothing acts on a
-measure as the exact Fourier multiplier of the circle heat kernel.
+to the angle variable (``BoundaryMeasureSamples``); ``as_samples`` turns
+either into samples, the one form the computations read.  Heat smoothing acts
+on a measure as the exact Fourier multiplier of the circle heat kernel.
 """
 
 from __future__ import annotations
@@ -130,12 +131,6 @@ class BoundaryDensity:
     def values(self, j: int, thetas: np.ndarray) -> np.ndarray:
         return np.exp(self.log_values(j, thetas))
 
-    def shifted(self, delta_c0: float) -> "BoundaryDensity":
-        """Add the same constant to every component's c0 (global rescale)."""
-        return BoundaryDensity(
-            tuple((c[0] + delta_c0,) + tuple(c[1:]) for c in self.log_coeffs)
-        )
-
 
 @dataclass(frozen=True)
 class BoundaryMeasureSamples:
@@ -194,100 +189,62 @@ def _trig_resample(vals: np.ndarray, thetas: np.ndarray) -> np.ndarray:
         if np.array_equal(thetas, native):
             return vals.copy()
     coeff = np.fft.rfft(vals) / n
-    out = np.full(thetas.shape, coeff[0].real)
-    for m in range(1, len(coeff)):
-        w = 2.0 if 2 * m < n else 1.0  # Nyquist mode counted once
-        out += w * (coeff[m].real * np.cos(m * thetas) - coeff[m].imag * np.sin(m * thetas))
-    return out
+    m = np.arange(1, len(coeff))
+    w = np.where(2 * m < n, 2.0, 1.0)  # Nyquist mode counted once
+    phase = np.multiply.outer(thetas, m)
+    return coeff[0].real + (
+        np.cos(phase) @ (w * coeff[1:].real) - np.sin(phase) @ (w * coeff[1:].imag)
+    )
 
 
-def sample_measure(
-    domain: CircleDomain, density: BoundaryDensity, n: int = 256
-) -> BoundaryMeasureSamples:
-    """Sample lambda * rho on an n-point grid per component."""
+def as_samples(domain: CircleDomain, density, n: int = 256) -> BoundaryMeasureSamples:
+    """Either boundary weight as samples of lambda * rho on an n-point grid per circle.
+
+    Samples already on an n-point grid are returned as they are; samples on
+    another grid are resampled by trigonometric interpolation, and a
+    BoundaryDensity is evaluated at the grid angles.
+    """
     if density.k != domain.k:
         raise ValueError("density has wrong number of components")
-    vals = []
-    for j in range(domain.k):
-        th = 2.0 * math.pi * np.arange(n) / n
-        vals.append(density.values(j, th) * domain.component_radius(j))
-    return BoundaryMeasureSamples(tuple(vals), tuple(domain.radii()))
-
-
-def boundary_length(domain: CircleDomain, density) -> float:
-    """Weighted boundary length  L = sum_j  cint lambda ds  over all components."""
-    if isinstance(density, BoundaryMeasureSamples):
-        return density.total_mass()
-    L = 0.0
-    n = 256
     th = 2.0 * math.pi * np.arange(n) / n
-    for j in range(domain.k):
-        rho = domain.component_radius(j)
-        # ds = rho d(theta); equispaced trapezoid is spectrally exact here
-        L += rho * 2.0 * math.pi * float(np.mean(density.values(j, th)))
-    return L
+    if isinstance(density, BoundaryMeasureSamples):
+        if all(len(v) == n for v in density.values):
+            return density
+        vals = tuple(
+            density.density_values(j, th) * density.radii[j]
+            for j in range(density.k)
+        )
+        return BoundaryMeasureSamples(vals, density.radii)
+    vals = tuple(
+        density.values(j, th) * domain.component_radius(j) for j in range(domain.k)
+    )
+    return BoundaryMeasureSamples(vals, tuple(domain.radii()))
 
 
-def heat_smooth(density, eps: float, domain: CircleDomain | None = None,
-                n: int = 256) -> BoundaryMeasureSamples:
+def heat_smooth(samples: BoundaryMeasureSamples, eps: float) -> BoundaryMeasureSamples:
     """Heat-kernel smoothing of a boundary measure at time eps.
 
     Acts per component as the exact multiplier exp(-(2 pi m / ell)^2 eps) on
     the Fourier coefficients of the measure, where ell = 2 pi rho is the
     euclidean circumference.  Mass is preserved exactly; eps = 0 is the
-    identity.  Accepts a BoundaryDensity (domain required) or samples.
+    identity.
     """
     if eps < 0.0:
         raise ValueError("eps must be nonnegative")
-    if isinstance(density, BoundaryDensity):
-        if domain is None:
-            raise ValueError("domain required to smooth a BoundaryDensity")
-        density = sample_measure(domain, density, n)
     out = []
-    for j in range(density.k):
-        v = density.values[j]
-        rho = density.radii[j]
+    for j in range(samples.k):
+        v = samples.values[j]
+        rho = samples.radii[j]
         coeff = np.fft.rfft(v)
         m = np.arange(len(coeff))
         coeff *= np.exp(-((m / rho) ** 2) * eps)
         out.append(np.fft.irfft(coeff, n=len(v)))
-    return BoundaryMeasureSamples(tuple(out), density.radii)
+    return BoundaryMeasureSamples(tuple(out), samples.radii)
 
 
-def normalize(domain: CircleDomain, density):
-    """Rescale a boundary weight so the total weighted length is 1.
-
-    Returns the same representation that was passed in; idempotent.
-    """
-    L = boundary_length(domain, density)
+def normalize(samples: BoundaryMeasureSamples) -> BoundaryMeasureSamples:
+    """Rescale a boundary measure so the total weighted length is 1; idempotent."""
+    L = samples.total_mass()
     if not (L > 0.0):
         raise DomainError("degenerate measure: nonpositive total mass")
-    if isinstance(density, BoundaryMeasureSamples):
-        return density.scaled(1.0 / L)
-    return density.shifted(-math.log(L))
-
-
-def domain_to_json(domain: CircleDomain, density: BoundaryDensity | None = None) -> dict:
-    doc = {
-        "holes": [
-            {"cx": h.center.real, "cy": h.center.imag, "r": h.radius}
-            for h in domain.holes
-        ]
-    }
-    if density is not None:
-        doc["log_density"] = [list(c) for c in density.log_coeffs]
-    return doc
-
-
-def domain_from_json(doc: dict) -> tuple[CircleDomain, BoundaryDensity]:
-    holes = tuple(
-        Hole(complex(h["cx"], h["cy"]), float(h["r"])) for h in doc.get("holes", [])
-    )
-    domain = CircleDomain(holes)
-    if "log_density" in doc:
-        density = BoundaryDensity(tuple(tuple(map(float, c)) for c in doc["log_density"]))
-        if density.k != domain.k:
-            raise DomainError("log_density component count does not match holes")
-    else:
-        density = BoundaryDensity.uniform(domain.k)
-    return domain, density
+    return samples.scaled(1.0 / L)

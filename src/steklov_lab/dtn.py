@@ -19,7 +19,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .basis import HarmonicBasis, boundary_matrices, build_basis
-from .domain import CircleDomain
+from .domain import CircleDomain, as_samples
 
 CLUSTER_TOL = 1e-6
 
@@ -94,10 +94,13 @@ def steklov_spectrum(
     basis: HarmonicBasis | None = None,
     cluster_tol: float = CLUSTER_TOL,
 ) -> SteklovSpectrum:
-    """First ``n_eigs`` weighted Steklov eigenvalues (sigma_0 = 0 included)."""
+    """First ``n_eigs`` weighted Steklov eigenvalues (sigma_0 = 0 included).
+
+    ``density`` is a BoundaryDensity or BoundaryMeasureSamples.
+    """
     if basis is None:
         basis = build_basis(domain, M)
-    sys_ = boundary_matrices(basis, density)
+    sys_ = boundary_matrices(basis, as_samples(domain, density, basis.n_quad))
     return solve_eigensystem(
         sys_.A, sys_.B, sys_.m, n_eigs,
         cluster_tol=cluster_tol,
@@ -164,23 +167,6 @@ def solve_eigensystem(
         boundary_length=L_total,
         metadata=md,
     )
-
-
-def sigma1(
-    domain: CircleDomain,
-    density,
-    M: int = 16,
-    *,
-    basis: HarmonicBasis | None = None,
-    cluster_tol: float = CLUSTER_TOL,
-) -> tuple[float, np.ndarray, SteklovSpectrum]:
-    """First nonzero eigenvalue, its cluster of eigenvectors, and the spectrum.
-
-    Returns (sigma_1, eigenvector columns of the sigma_1 cluster, spectrum).
-    """
-    spec = steklov_spectrum(domain, density, M, basis=basis, cluster_tol=cluster_tol)
-    cl = spec.cluster_of(1)
-    return spec.sigma1, spec.eigenvectors[:, cl], spec
 
 
 def coarse_bound(gamma: int, k: int) -> float:

@@ -26,9 +26,9 @@ from .domain import (
     CircleDomain,
     DomainError,
     Hole,
+    as_samples,
     heat_smooth,
     normalize,
-    sample_measure,
 )
 from .dtn import SteklovSpectrum, steklov_spectrum
 
@@ -127,20 +127,6 @@ class SweepEntry:
 # -- weight handling ----------------------------------------------------------
 
 
-def _as_samples(domain: CircleDomain, density, n: int) -> BoundaryMeasureSamples:
-    """Coerce any boundary weight to per-circle samples on an n-point grid."""
-    if isinstance(density, BoundaryMeasureSamples):
-        if len(density.values[0]) == n:
-            return density
-        th = 2.0 * math.pi * np.arange(n) / n
-        vals = tuple(
-            density.density_values(j, th) * density.radii[j]
-            for j in range(density.k)
-        )
-        return BoundaryMeasureSamples(vals, density.radii)
-    return sample_measure(domain, density, n)
-
-
 def _mu_integral(samples: BoundaryMeasureSamples, funcs) -> float:
     """Integral of a per-circle function list against the weighted measure."""
     total = 0.0
@@ -153,8 +139,8 @@ def _weight_gradient(samples: BoundaryMeasureSamples, sq, sigma: float, L: float
     """Mean-zero first variation of sigma from per-circle squared eigenfunctions.
 
     ``sq`` holds u^2 per circle for a unit-norm eigenfunction u (or an average
-    of such squares over a cluster); the result is -sigma (u^2 - avg) shifted
-    to zero mean against the weighted measure of total mass L.
+    of such squares over a cluster); the result is -sigma (u^2 - avg) less
+    its mean against the weighted measure of total mass L.
     """
     avg = _mu_integral(samples, sq) / L
     g = [-sigma * (q - avg) for q in sq]
@@ -176,7 +162,7 @@ def density_gradient(domain, density, coeffs, *, M: int = 16,
     """
     if basis is None:
         basis = build_basis(domain, M)
-    samples = _as_samples(domain, density, basis.n_quad)
+    samples = as_samples(domain, density, basis.n_quad)
     mats = boundary_matrices(basis, samples)
     x = np.asarray(coeffs, dtype=float).ravel()
     if x.shape != (basis.size,):
@@ -250,13 +236,13 @@ def _cluster_directions(basis, samples, spec, near_width=1e-2):
     return dirs
 
 
-def _step_candidate(domain, samples, direction, s, eps):
+def _step_candidate(samples, direction, s, eps):
     """Multiplicative step of size s, then smoothing and unit total mass."""
     vals = tuple(
         v * np.exp(s * d) for v, d in zip(samples.values, direction)
     )
     cand = BoundaryMeasureSamples(vals, samples.radii)
-    return normalize(domain, heat_smooth(cand, eps))
+    return normalize(heat_smooth(cand, eps))
 
 
 def _near_cluster(spec: SteklovSpectrum, tol: float) -> np.ndarray:
@@ -371,7 +357,7 @@ def optimize_density(domain, init_density, eps_schedule=EPS_SCHEDULE,
             domain, d, basis.M, basis=basis, cluster_tol=cluster_tol
         )
 
-    dens = normalize(domain, _as_samples(domain, init_density, basis.n_quad))
+    dens = normalize(as_samples(domain, init_density, basis.n_quad))
     trace = []
     phase_residuals = []
     spec = None
@@ -383,7 +369,7 @@ def optimize_density(domain, init_density, eps_schedule=EPS_SCHEDULE,
     try:
         for eps in eps_schedule:
             eps_cur = eps
-            dens = normalize(domain, heat_smooth(dens, eps))
+            dens = normalize(heat_smooth(dens, eps))
             spec = solve(dens)
             value = spec.sigma1_L
             trace.append((it, eps, value))
@@ -399,7 +385,7 @@ def optimize_density(domain, init_density, eps_schedule=EPS_SCHEDULE,
                 for d in dirs:
                     s = s0
                     for _h in range(halvings):
-                        cand = _step_candidate(domain, dens, d, s, eps)
+                        cand = _step_candidate(dens, d, s, eps)
                         cspec = solve(cand)
                         cval = cspec.sigma1_L
                         if cval > value:
@@ -464,7 +450,7 @@ def extremality_certificate(domain, density, eigenspace, *, M: int = 16,
     """
     if basis is None:
         basis = build_basis(domain, M)
-    samples = _as_samples(domain, density, basis.n_quad)
+    samples = as_samples(domain, density, basis.n_quad)
     cols = np.asarray(eigenspace, dtype=float)
     if cols.ndim == 1:
         cols = cols[:, None]
@@ -588,8 +574,12 @@ def optimize_configuration(k: int, symmetry="cyclic", budget=6000, *,
     angles, leaving two parameters; without symmetry the first hole is
     rotated onto the positive axis and every center and radius is free.
     Each probe runs a cheap weight ascent; the winner is polished with the
-    full smoothing schedule.  The value returned is attained by the returned
-    weight, so it is a certified lower bound for the supremum.
+    full smoothing schedule.  The value returned is the Rayleigh-Ritz
+    sigma_1 * L of the returned weight at the degree it was computed with
+    (``probe_M`` when the polish does not beat the best probe, else ``M``).
+    Ritz values bound the true eigenvalue from above, so it is an upper
+    estimate for the returned weight, not a certified lower bound for the
+    supremum.
     """
     if k < 2:
         raise ValueError("configuration search needs k >= 2")

@@ -11,7 +11,7 @@ from steklov_lab.basis import (
     build_basis,
     dirichlet_matrix,
 )
-from steklov_lab.domain import BoundaryDensity, CircleDomain, Hole
+from steklov_lab.domain import BoundaryDensity, CircleDomain, Hole, as_samples
 
 RHO = 0.35
 ANNULUS = CircleDomain((Hole(0.0, RHO),))
@@ -68,10 +68,15 @@ def test_annulus_dirichlet_matrix_closed_form():
     assert np.max(np.abs(A - np.diag(expect))) < 1e-10
 
 
+def _uniform(b):
+    """The uniform weight as samples on the basis quadrature grid."""
+    return as_samples(b.domain, BoundaryDensity.uniform(b.domain.k), b.n_quad)
+
+
 def test_mass_matrix_on_disk():
     M = 4
     b = build_basis(CircleDomain(), M)
-    mats = boundary_matrices(b, BoundaryDensity.uniform(1))
+    mats = boundary_matrices(b, _uniform(b))
     assert isinstance(mats, EigenSystemMatrices)
     expect = np.diag([2 * math.pi] + [math.pi] * (2 * M))
     assert np.max(np.abs(mats.B - expect)) < 1e-12
@@ -83,7 +88,7 @@ def test_mass_matrix_on_disk():
 def test_mass_matrix_annulus_entries():
     M = 3
     b = build_basis(ANNULUS, M)
-    mats = boundary_matrices(b, BoundaryDensity.uniform(2))
+    mats = boundary_matrices(b, _uniform(b))
     idx = {e: i for i, e in enumerate(b.elements)}
     for m in range(1, M + 1):
         i_out = idx[("outer", -1, m, 0)]
@@ -99,7 +104,7 @@ def test_mass_matrix_annulus_entries():
 def test_matrices_symmetric_psd():
     dom = CircleDomain((Hole(0.3 + 0.1j, 0.2), Hole(-0.4j, 0.15)))
     b = build_basis(dom, 8)
-    mats = boundary_matrices(b, BoundaryDensity.uniform(3))
+    mats = boundary_matrices(b, _uniform(b))
     assert np.array_equal(mats.A, mats.A.T)
     assert np.array_equal(mats.B, mats.B.T)
     assert np.linalg.eigvalsh(mats.A).min() > -1e-9

@@ -7,6 +7,7 @@ import pytest
 
 import steklov_lab.cli as cli
 from steklov_lab.dtn import MassMatrixDegenerate
+from steklov_lab.maximizer import sweep_k
 
 
 @pytest.fixture
@@ -113,6 +114,18 @@ def test_sweep_csv(workdir):
     assert flags == "ok"
 
 
+def test_sweep_rows_follow_input_order(workdir):
+    # the CSV lists the k values in the order given, each value as the library
+    # computes it (repr of the float)
+    rc = cli.dispatch(["sweep", "--k", "2,1", "--budget", "30", "--out", "sw.csv"])
+    assert rc == 0
+    lines = (workdir / "sw.csv").read_text().splitlines()
+    rows = [ln.split(",") for ln in lines[2:]]
+    expect = sweep_k([2, 1], "cyclic", 30)
+    assert [r[0] for r in rows] == ["2", "1"]
+    assert [r[1] for r in rows] == [repr(float(e.value)) for e in expect]
+
+
 def test_surface_verify(workdir):
     rc = cli.dispatch([
         "surface", "verify", "--which", "flat-disk", "--grid", "32,64",
@@ -188,15 +201,6 @@ def test_numerical_failure_exits_3(workdir, monkeypatch):
         rc = cli.dispatch(["spectrum", "--disk", "--out", "x.json"])
         assert rc == 3
         assert read_log(workdir) == []
-
-
-def test_threads_env_validation(workdir, monkeypatch):
-    monkeypatch.setenv("STEKLOV_LAB_THREADS", "zero")
-    assert cli.dispatch(["sweep", "--k", "1", "--out", "s.csv"]) == 64
-    monkeypatch.setenv("STEKLOV_LAB_THREADS", "0")
-    assert cli.dispatch(["sweep", "--k", "1", "--out", "s.csv"]) == 64
-    monkeypatch.setenv("STEKLOV_LAB_THREADS", "2")
-    assert cli.dispatch(["sweep", "--k", "1", "--out", "s.csv"]) == 0
 
 
 def test_version_flag(workdir):

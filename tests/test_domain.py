@@ -13,12 +13,10 @@ from steklov_lab.domain import (
     HoleOutsideDisk,
     Overlap,
     RadiusNonpositive,
-    boundary_length,
-    domain_from_json,
-    domain_to_json,
+    _trig_resample,
+    as_samples,
     heat_smooth,
     normalize,
-    sample_measure,
 )
 
 
@@ -62,48 +60,80 @@ def test_uniform_density_values():
 
 def test_boundary_length_disk():
     dom = CircleDomain()
-    assert abs(boundary_length(dom, BoundaryDensity.uniform(1)) - 2 * math.pi) < 1e-12
+    L = as_samples(dom, BoundaryDensity.uniform(1)).total_mass()
+    assert abs(L - 2 * math.pi) < 1e-12
 
 
 def test_boundary_length_with_hole():
     dom = CircleDomain((Hole(0.0, 0.25),))
-    L = boundary_length(dom, BoundaryDensity.uniform(2))
+    L = as_samples(dom, BoundaryDensity.uniform(2)).total_mass()
     assert abs(L - 2 * math.pi * 1.25) < 1e-12
 
 
-def test_sample_measure_round_trip():
+def test_as_samples_round_trip():
     dom = CircleDomain((Hole(0.3, 0.15),))
-    dens = BoundaryDensity.uniform(2).shifted(0.3)
-    samples = sample_measure(dom, dens, n=128)
+    dens = BoundaryDensity(((0.3, 0.2, -0.1), (0.3,)))
+    samples = as_samples(dom, dens, n=128)
     th = 2 * math.pi * np.arange(128) / 128
     for j in range(2):
         assert np.allclose(samples.density_values(j, th), dens.values(j, th), atol=1e-12)
-    assert abs(samples.total_mass() - boundary_length(dom, dens)) < 1e-10
+    L = 2 * math.pi * (np.mean(dens.values(0, th)) + 0.15 * math.exp(0.3))
+    assert abs(samples.total_mass() - L) < 1e-10
+    # samples on the requested grid pass through; others are resampled
+    assert as_samples(dom, samples, 128) is samples
+    fine = as_samples(dom, samples, 256)
+    th2 = 2 * math.pi * np.arange(256) / 256
+    for j in range(2):
+        assert np.max(np.abs(fine.density_values(j) - dens.values(j, th2))) < 1e-12
+    with pytest.raises(ValueError):
+        as_samples(CircleDomain(), dens)
 
 
 def test_density_values_resamples():
-    # samples stored on the native grid evaluate exactly on a shifted grid
+    # samples stored on the native grid evaluate exactly on a rotated grid
     n = 64
     th = 2 * math.pi * np.arange(n) / n
     vals = np.exp(0.2 * np.cos(th))
     samples = BoundaryMeasureSamples((vals,), (1.0,))
-    shifted = th + 0.1
-    expect = np.exp(0.2 * np.cos(shifted))
-    assert np.max(np.abs(samples.density_values(0, shifted) - expect)) < 1e-12
+    rotated = th + 0.1
+    expect = np.exp(0.2 * np.cos(rotated))
+    assert np.max(np.abs(samples.density_values(0, rotated) - expect)) < 1e-12
+
+
+def _trig_resample_loop(vals, thetas):
+    """Mode-by-mode reference for the band-limited interpolant."""
+    n = len(vals)
+    coeff = np.fft.rfft(vals) / n
+    out = np.full(thetas.shape, coeff[0].real)
+    for m in range(1, len(coeff)):
+        w = 2.0 if 2 * m < n else 1.0  # Nyquist mode counted once
+        out += w * (coeff[m].real * np.cos(m * thetas) - coeff[m].imag * np.sin(m * thetas))
+    return out
+
+
+def test_trig_resample_matches_mode_loop():
+    rng = np.random.default_rng(7)
+    for n in range(4, 513):
+        vals = 1.0 + 0.5 * rng.standard_normal(n)
+        rotated = 2 * math.pi * np.arange(n) / n + rng.uniform(0.0, 2 * math.pi / n)
+        scattered = rng.uniform(-math.pi, 3 * math.pi, size=37)
+        for th in (rotated, scattered):
+            ref = _trig_resample_loop(vals, th)
+            assert np.max(np.abs(_trig_resample(vals, th) - ref)) < 1e-14
 
 
 def test_normalize_idempotent():
     dom = CircleDomain()
-    dens = BoundaryDensity.uniform(1).shifted(0.7)
-    once = normalize(dom, dens)
-    twice = normalize(dom, once)
-    assert abs(boundary_length(dom, once) - 1.0) < 1e-12
-    assert abs(boundary_length(dom, twice) - 1.0) < 1e-12
+    samples = as_samples(dom, BoundaryDensity(((0.7,),)))
+    once = normalize(samples)
+    twice = normalize(once)
+    assert abs(once.total_mass() - 1.0) < 1e-12
+    assert abs(twice.total_mass() - 1.0) < 1e-12
 
 
 def test_normalize_rejects_degenerate():
     with pytest.raises(DomainError):
-        normalize(CircleDomain(), BoundaryMeasureSamples((np.zeros(16),), (1.0,)))
+        normalize(BoundaryMeasureSamples((np.zeros(16),), (1.0,)))
 
 
 def test_heat_smooth_preserves_mass():
@@ -148,14 +178,3 @@ def test_heat_smooth_rejects_negative_eps():
     samples = BoundaryMeasureSamples((np.ones(16),), (1.0,))
     with pytest.raises(ValueError):
         heat_smooth(samples, -1e-3)
-
-
-def test_json_round_trip():
-    dom = CircleDomain((Hole(0.1 + 0.2j, 0.15), Hole(-0.4, 0.1)))
-    dens = BoundaryDensity.uniform(3).shifted(-0.2)
-    doc = domain_to_json(dom, dens)
-    dom2, dens2 = domain_from_json(doc)
-    assert dom2.holes == dom.holes
-    th = 2 * math.pi * np.arange(16) / 16
-    for j in range(3):
-        assert np.allclose(dens2.values(j, th), dens.values(j, th))

@@ -11,7 +11,7 @@ from steklov_lab.domain import (
     BoundaryMeasureSamples,
     CircleDomain,
     Hole,
-    boundary_length,
+    as_samples,
 )
 from steklov_lab.dtn import (
     IndexOutOfRange,
@@ -20,7 +20,6 @@ from steklov_lab.dtn import (
     coarse_bound,
     multiplicity_bound,
     multiplicity_check,
-    sigma1,
     solve_eigensystem,
     steklov_spectrum,
 )
@@ -50,7 +49,7 @@ def test_eigenvectors_b_orthonormal():
     dom = CircleDomain((Hole(0.2, 0.25),))
     dens = BoundaryDensity.uniform(2)
     basis = build_basis(dom, 12)
-    mats = boundary_matrices(basis, dens)
+    mats = boundary_matrices(basis, as_samples(dom, dens, basis.n_quad))
     spec = steklov_spectrum(dom, dens, M=12, basis=basis)
     V = spec.eigenvectors
     G = V.T @ mats.B @ V
@@ -74,7 +73,7 @@ def test_matched_annulus_agrees_with_closed_form():
     exact = annulus_spectrum(T, fT, 8).eigenvalues[:8]
     assert np.max(np.abs(spec.eigenvalues - np.array(exact))) < 1e-9
     assert abs(spec.boundary_length - 4 * math.pi * fT) < 1e-10
-    assert abs(spec.boundary_length - boundary_length(dom, samples)) < 1e-10
+    assert abs(spec.boundary_length - samples.total_mass()) < 1e-10
 
 
 def _seeded_weighted_domain(seed, k):
@@ -103,7 +102,7 @@ def test_matches_dense_generalized_reference():
     # same non-constant block
     dom, dens = _seeded_weighted_domain(4, 4)
     basis = build_basis(dom, 24)
-    mats = boundary_matrices(basis, dens)
+    mats = boundary_matrices(basis, as_samples(dom, dens, basis.n_quad))
     A, B, m = mats.A, mats.B, mats.m
     ref = sla.eigh(
         A[1:, 1:], B[1:, 1:] - np.outer(m[1:], m[1:]) / m[0], eigvals_only=True
@@ -111,7 +110,7 @@ def test_matches_dense_generalized_reference():
     spec = steklov_spectrum(dom, dens, basis=basis, n_eigs=11)
     assert spec.metadata["dropped"] == 0
     assert np.max(np.abs(spec.eigenvalues[1:] / ref[:10] - 1.0)) < 1e-9
-    assert abs(spec.boundary_length - boundary_length(dom, dens)) < 1e-10
+    assert abs(spec.boundary_length - as_samples(dom, dens).total_mass()) < 1e-10
 
 
 def test_ritz_values_decrease_with_degree():
@@ -153,13 +152,6 @@ def test_rank_deficient_mass_drops_columns():
     # the massless direction (0, 1, -1) is dropped, not a basis column, so the
     # exact generalized eigenvalue on span(e1, e2) survives
     assert np.max(np.abs(spec.eigenvalues - [0.0, 1.5])) < 1e-14
-
-
-def test_sigma1_helper():
-    val, vecs, spec = sigma1(DISK, UNIFORM1, M=10)
-    assert abs(val - 1.0) < 1e-10
-    assert vecs.shape[1] == 2
-    assert spec.sigma1 == val
 
 
 def test_coarse_bound_values():

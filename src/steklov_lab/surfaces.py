@@ -1,12 +1,17 @@
 """Free boundary minimal surfaces in the unit ball and their quadratic forms.
 
 Surfaces are conformal immersions of a flat cylinder ``[-T, T] x S^1`` (or of
-an exponentially parametrized disk) given by closures for the map and its six
-first and second coordinate derivatives, so every geometric residual can be
-evaluated pointwise without finite differencing.  The module provides
+an exponentially parametrized disk).  Every shipped surface is phi = Re F(z)/R
+with z = t + i theta and holomorphic data F given as one term a f(m z) per
+coordinate, f one of cosh, sinh, exp or z.  One builder turns that table into
+closures for phi and its five first and second coordinate derivatives,
+evaluated in real arithmetic, so every geometric residual is computed pointwise
+without finite differencing.  The module provides
 
-* the critical catenoid (in B^3) and critical Moebius band (in B^4), scaled so
-  the boundary lies exactly on the unit sphere,
+* the critical catenoid (cosh z, -i sinh z, z)/R in B^3, the critical Moebius
+  band (2 sinh z, -2i cosh z, cosh 2z, -i sinh 2z)/R in B^4, both scaled so
+  the boundary lies exactly on the unit sphere, and the flat disk
+  e^(-T) (e^z, -i e^z, 0),
 * ``verify_minimal_free_boundary``: sup-norm residuals of harmonicity,
   conformality, boundary sphericality, conormal radiality, and the condition
   that coordinate functions are Steklov eigenfunctions with eigenvalue 1,
@@ -34,6 +39,8 @@ from .closedform import critical_parameter
 from .spectral1d import diff_matrix, fourier_diff, gauss_legendre
 
 DISK_T = 16.0  # exponential polar truncation; leaves area pi*exp(-2*DISK_T)
+TANGENCY_TOL = 1e-8  # energy_form_Q: |x . V| on the boundary, relative to max(|V|, 1)
+NORMAL_TOL = 1e-10  # index_form_S: tangential part of W, relative to max |W|
 
 
 class NotNormal(ValueError):
@@ -65,7 +72,6 @@ class ParametricSurface:
     phi_ttheta: callable
     phi_thetatheta: callable
     grid: tuple[int, int] = (64, 256)
-    scale: float = 1.0
     name: str = ""
     _cache: dict = field(default_factory=dict, repr=False)
 
@@ -154,31 +160,6 @@ class ParametricSurface:
             - e2[..., :, None] * e2[..., None, :]
         )
 
-    def normal_frame(self, t: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        """Orthonormal normal frame, shape (..., n-2, n).  Experimental for n=4.
-
-        Built by Gram-Schmidt on the ambient coordinate vectors with their
-        tangential parts removed, in fixed seed order E1, E2, ..., skipping
-        seeds whose residual is below 1e-8.
-        """
-        P = self.normal_projector(t, theta)
-        frames = []
-        for s in range(self.n):
-            seed = np.zeros(self.n)
-            seed[s] = 1.0
-            v = P @ seed
-            for f in frames:
-                v = v - np.sum(v * f, axis=-1, keepdims=True) * f
-            norm = np.linalg.norm(v, axis=-1, keepdims=True)
-            if np.min(norm) < 1e-8:
-                continue
-            frames.append(v / norm)
-            if len(frames) == self.n - 2:
-                break
-        if len(frames) < self.n - 2:
-            raise RuntimeError("could not build a full normal frame")
-        return np.stack(frames, axis=-2)
-
 
 @dataclass
 class VariationField:
@@ -202,32 +183,82 @@ class FormReport:
 # -- canonical surfaces -------------------------------------------------------
 
 
+# One term a * f(m z) per coordinate: f -> (Re, Im) of f(x + i y) as functions
+# of the real x = m t and y = m theta.  None marks a part that vanishes.
+_PARTS = {
+    "cosh": (lambda x, y: np.cosh(x) * np.cos(y), lambda x, y: np.sinh(x) * np.sin(y)),
+    "sinh": (lambda x, y: np.sinh(x) * np.cos(y), lambda x, y: np.cosh(x) * np.sin(y)),
+    "exp": (lambda x, y: np.exp(x) * np.cos(y), lambda x, y: np.exp(x) * np.sin(y)),
+    "z": (lambda x, y: x, lambda x, y: y),
+    "one": (lambda x, y: 1.0, None),
+    "zero": (None, None),
+}
+_DERIVATIVE = {
+    "cosh": "sinh", "sinh": "cosh", "exp": "exp", "z": "one", "one": "zero", "zero": "zero",
+}
+
+
+def _holomorphic_closure(terms, R: float, k: int, p: int):
+    """Closure (t, theta) -> Re(i^p F^(k)(t + i theta)) / R.
+
+    i^p times the k-th derivative of a f(m z) is b f^(k)(m z) with the constant
+    b = a m^k i^p, and for a real or imaginary a, Re(b w) is Re(b) Re w or
+    -Im(b) Im w.  Coordinates whose part vanishes stay +0.0.
+    """
+    coords = []
+    for i, (a, f, m) in enumerate(terms):
+        for _ in range(k):
+            f = _DERIVATIVE[f]
+        b = complex(a) * m**k * 1j**p
+        if b.real and b.imag:
+            raise ValueError(f"coefficient {a!r} is neither real nor imaginary")
+        re, im = _PARTS[f]
+        c, part = (-b.imag, im) if b.imag else (b.real, re)
+        if c and part is not None:
+            coords.append((i, m, c, part))
+    multiples = {m for _, m, _, _ in coords}
+
+    # Filling one output array, rather than stacking per-coordinate temporaries,
+    # keeps the evaluation as fast as hand-written closures.
+    def closure(t, theta):
+        t = np.asarray(t, dtype=float)
+        theta = np.asarray(theta, dtype=float)
+        out = np.zeros(np.broadcast_shapes(t.shape, theta.shape) + (len(terms),))
+        args = {m: (t, theta) if m == 1 else (m * t, m * theta) for m in multiples}
+        for i, m, c, part in coords:
+            np.multiply(c, part(*args[m]), out=out[..., i])
+        out /= R
+        return out
+
+    return closure
+
+
+def _holomorphic_surface(terms, R: float, **fields) -> ParametricSurface:
+    """The surface phi = Re F / R for F given as one term (a, f, m) per coordinate.
+
+    On holomorphic F, d/dtheta = i d/dz, so phi_t = Re F', phi_theta = -Im F',
+    phi_tt = Re F'', phi_ttheta = -Im F'' and phi_thetatheta = -Re F''.
+    """
+    def derivative(k, p):
+        return _holomorphic_closure(terms, R, k, p)
+
+    return ParametricSurface(
+        n=len(terms), phi=derivative(0, 0), phi_t=derivative(1, 0),
+        phi_theta=derivative(1, 1), phi_tt=derivative(2, 0),
+        phi_ttheta=derivative(2, 1), phi_thetatheta=derivative(2, 2),
+        **fields,
+    )
+
+
 def catenoid_piece(T: float, grid=(64, 256)) -> ParametricSurface:
     """Catenoid slab |t| <= T rescaled so its boundary meets the unit sphere.
 
     Free boundary conditions hold exactly only at the critical aspect ratio.
     """
     R = math.sqrt(math.cosh(T) ** 2 + T**2)
-
-    def wrap(fn):
-        def closure(t, theta):
-            t = np.asarray(t, dtype=float)
-            theta = np.asarray(theta, dtype=float)
-            return np.stack(fn(t, theta), axis=-1) / R
-
-        return closure
-
-    phi = wrap(lambda t, h: (np.cosh(t) * np.cos(h), np.cosh(t) * np.sin(h), t))
-    phi_t = wrap(lambda t, h: (np.sinh(t) * np.cos(h), np.sinh(t) * np.sin(h), np.ones_like(t * h)))
-    phi_th = wrap(lambda t, h: (-np.cosh(t) * np.sin(h), np.cosh(t) * np.cos(h), np.zeros_like(t * h)))
-    phi_tt = wrap(lambda t, h: (np.cosh(t) * np.cos(h), np.cosh(t) * np.sin(h), np.zeros_like(t * h)))
-    phi_tth = wrap(lambda t, h: (-np.sinh(t) * np.sin(h), np.sinh(t) * np.cos(h), np.zeros_like(t * h)))
-    phi_hh = wrap(lambda t, h: (-np.cosh(t) * np.cos(h), -np.cosh(t) * np.sin(h), np.zeros_like(t * h)))
-    return ParametricSurface(
-        topology="annulus", T=T, n=3,
-        phi=phi, phi_t=phi_t, phi_theta=phi_th,
-        phi_tt=phi_tt, phi_ttheta=phi_tth, phi_thetatheta=phi_hh,
-        grid=grid, scale=1.0 / R, name=f"catenoid(T={T:.6f})",
+    return _holomorphic_surface(
+        ((1, "cosh", 1), (-1j, "sinh", 1), (1, "z", 1)), R,
+        topology="annulus", T=T, grid=grid, name=f"catenoid(T={T:.6f})",
     )
 
 
@@ -241,38 +272,9 @@ def critical_catenoid(grid=(64, 256)) -> ParametricSurface:
 def moebius_piece(T: float, grid=(64, 256)) -> ParametricSurface:
     """Moebius band immersion slab in R^4 rescaled to the unit sphere boundary."""
     R = math.sqrt(4.0 * math.sinh(T) ** 2 + math.cosh(2.0 * T) ** 2)
-
-    def wrap(fn):
-        def closure(t, theta):
-            t = np.asarray(t, dtype=float)
-            theta = np.asarray(theta, dtype=float)
-            return np.stack(fn(t, theta), axis=-1) / R
-
-        return closure
-
-    phi = wrap(lambda t, h: (
-        2.0 * np.sinh(t) * np.cos(h), 2.0 * np.sinh(t) * np.sin(h),
-        np.cosh(2 * t) * np.cos(2 * h), np.cosh(2 * t) * np.sin(2 * h)))
-    phi_t = wrap(lambda t, h: (
-        2.0 * np.cosh(t) * np.cos(h), 2.0 * np.cosh(t) * np.sin(h),
-        2.0 * np.sinh(2 * t) * np.cos(2 * h), 2.0 * np.sinh(2 * t) * np.sin(2 * h)))
-    phi_th = wrap(lambda t, h: (
-        -2.0 * np.sinh(t) * np.sin(h), 2.0 * np.sinh(t) * np.cos(h),
-        -2.0 * np.cosh(2 * t) * np.sin(2 * h), 2.0 * np.cosh(2 * t) * np.cos(2 * h)))
-    phi_tt = wrap(lambda t, h: (
-        2.0 * np.sinh(t) * np.cos(h), 2.0 * np.sinh(t) * np.sin(h),
-        4.0 * np.cosh(2 * t) * np.cos(2 * h), 4.0 * np.cosh(2 * t) * np.sin(2 * h)))
-    phi_tth = wrap(lambda t, h: (
-        -2.0 * np.cosh(t) * np.sin(h), 2.0 * np.cosh(t) * np.cos(h),
-        -4.0 * np.sinh(2 * t) * np.sin(2 * h), 4.0 * np.sinh(2 * t) * np.cos(2 * h)))
-    phi_hh = wrap(lambda t, h: (
-        -2.0 * np.sinh(t) * np.cos(h), -2.0 * np.sinh(t) * np.sin(h),
-        -4.0 * np.cosh(2 * t) * np.cos(2 * h), -4.0 * np.cosh(2 * t) * np.sin(2 * h)))
-    return ParametricSurface(
-        topology="moebius", T=T, n=4,
-        phi=phi, phi_t=phi_t, phi_theta=phi_th,
-        phi_tt=phi_tt, phi_ttheta=phi_tth, phi_thetatheta=phi_hh,
-        grid=grid, scale=1.0 / R, name=f"moebius(T={T:.6f})",
+    return _holomorphic_surface(
+        ((2, "sinh", 1), (-2j, "cosh", 1), (1, "cosh", 2), (-1j, "sinh", 2)), R,
+        topology="moebius", T=T, grid=grid, name=f"moebius(T={T:.6f})",
     )
 
 
@@ -289,28 +291,10 @@ def flat_disk(grid=(64, 256)) -> ParametricSurface:
     The parameter domain [0, T] misses a concentric disk of radius e^(-T)
     whose area pi*e^(-2T) is below 1e-13 at the default truncation.
     """
-    T = DISK_T
-
-    def wrap(fn):
-        def closure(t, theta):
-            t = np.asarray(t, dtype=float)
-            theta = np.asarray(theta, dtype=float)
-            return np.stack(fn(t, theta), axis=-1)
-
-        return closure
-
-    r = lambda t: np.exp(t - T)
-    phi = wrap(lambda t, h: (r(t) * np.cos(h), r(t) * np.sin(h), np.zeros_like(t * h)))
-    phi_t = phi
-    phi_th = wrap(lambda t, h: (-r(t) * np.sin(h), r(t) * np.cos(h), np.zeros_like(t * h)))
-    phi_tt = phi
-    phi_tth = phi_th
-    phi_hh = wrap(lambda t, h: (-r(t) * np.cos(h), -r(t) * np.sin(h), np.zeros_like(t * h)))
-    return ParametricSurface(
-        topology="disk", T=T, n=3,
-        phi=phi, phi_t=phi_t, phi_theta=phi_th,
-        phi_tt=phi_tt, phi_ttheta=phi_tth, phi_thetatheta=phi_hh,
-        grid=grid, scale=1.0, name="flat-disk",
+    a = math.exp(-DISK_T)
+    return _holomorphic_surface(
+        ((a, "exp", 1), (-1j * a, "exp", 1), (0, "zero", 1)), 1.0,
+        topology="disk", T=DISK_T, grid=grid, name="flat-disk",
     )
 
 
@@ -377,12 +361,6 @@ def verify_minimal_free_boundary(surface: ParametricSurface) -> dict:
 # -- quadratic forms ----------------------------------------------------------
 
 
-def _grid_field(surface: ParametricSurface, W) -> np.ndarray:
-    tt, hh = surface.mesh()
-    fn = W.field_fn if isinstance(W, VariationField) else W
-    return fn(tt, hh)
-
-
 def _t_derivative(surface: ParametricSurface, values: np.ndarray) -> np.ndarray:
     t, _, _, _ = surface.nodes()
     key = ("Dt", surface.grid)
@@ -390,11 +368,6 @@ def _t_derivative(surface: ParametricSurface, values: np.ndarray) -> np.ndarray:
         surface._cache[key] = diff_matrix(t)
     D = surface._cache[key]
     return np.einsum("ij,jkl->ikl", D, values)
-
-
-def _boundary_values(surface: ParametricSurface, W, tb: float, th: np.ndarray):
-    fn = W.field_fn if isinstance(W, VariationField) else W
-    return fn(np.full_like(th, tb), th)
 
 
 def area_integral(surface: ParametricSurface, scalar_grid: np.ndarray) -> float:
@@ -406,16 +379,16 @@ def area_integral(surface: ParametricSurface, scalar_grid: np.ndarray) -> float:
 
 def field_norm_sq_integral(surface: ParametricSurface, W) -> float:
     """int |W|^2 da over the surface."""
-    Wg = _grid_field(surface, W)
+    Wg = W(*surface.mesh())
     return area_integral(surface, np.sum(Wg**2, axis=-1))
 
 
-def index_form_S(surface: ParametricSurface, W, *, normal_tol: float = 1e-10) -> float:
+def index_form_S(surface: ParametricSurface, W) -> float:
     """Index quadratic form S(W, W) for a normal variation field.
 
     S = int_Sigma (|D^perp W|^2 - |A^W|^2) da - int_(boundary) |W|^2 ds, with
     |A^W|^2 the squared contraction of the second fundamental form with W.
-    The field must be normal on the grid to within ``normal_tol`` relative to
+    The field must be normal on the grid to within ``NORMAL_TOL`` relative to
     its size, otherwise NotNormal is raised.
     """
     t, wt, th, wth = surface.nodes()
@@ -427,13 +400,13 @@ def index_form_S(surface: ParametricSurface, W, *, normal_tol: float = 1e-10) ->
     e1 = pt / lam[..., None]
     e2 = pth / np.linalg.norm(pth, axis=-1, keepdims=True)
 
-    Wg = _grid_field(surface, W)
+    Wg = W(tt, hh)
     scale = float(np.max(np.linalg.norm(Wg, axis=-1)))
     if scale > 0.0:
         tang = np.maximum(
             np.abs(np.sum(Wg * e1, axis=-1)), np.abs(np.sum(Wg * e2, axis=-1))
         )
-        if float(np.max(tang)) > normal_tol * scale:
+        if float(np.max(tang)) > NORMAL_TOL * scale:
             raise NotNormal(
                 f"variation field has tangential part {float(np.max(tang)):.2e} "
                 f"(scale {scale:.2e})"
@@ -461,7 +434,7 @@ def index_form_S(surface: ParametricSurface, W, *, normal_tol: float = 1e-10) ->
 
     boundary = 0.0
     for tb, _sign in surface.boundaries():
-        Wb = _boundary_values(surface, W, tb, th)
+        Wb = W(np.full_like(th, tb), th)
         boundary += float(np.sum(np.sum(Wb**2, axis=-1) * surface.boundary_speed(tb))) * wth
 
     return surface.quotient_factor * (interior - boundary)
@@ -504,33 +477,31 @@ def normal_part(surface: ParametricSurface, ambient) -> VariationField:
     return VariationField(closure, kind="normal")
 
 
-def energy_form_Q(
-    surface: ParametricSurface, V, W, *,
-    check_tangency: bool = True, tangency_tol: float = 1e-8,
-) -> float:
+def energy_form_Q(surface: ParametricSurface, V, W) -> float:
     """Energy quadratic form Q(V, W) = int <DV, DW> da - int_(boundary) V.W ds.
 
     Both fields must be tangent to the unit sphere along the boundary
-    (|x . V| small relative to |V|), since the form is the second variation of
-    energy among maps keeping the boundary on the sphere.
+    (|x . V| within ``TANGENCY_TOL`` of zero relative to max(|V|, 1)), since
+    the form is the second variation of energy among maps keeping the boundary
+    on the sphere; otherwise BoundaryTangencyViolated is raised.
     """
     t, wt, th, wth = surface.nodes()
-    Vg = _grid_field(surface, V)
-    Wg = _grid_field(surface, W)
+    tt, hh = surface.mesh()
+    Vg = V(tt, hh)
+    Wg = W(tt, hh)
 
-    if check_tangency:
-        for name, F in (("V", V), ("W", W)):
-            worst = 0.0
-            scale = 0.0
-            for tb, _sign in surface.boundaries():
-                x = surface.phi(np.full_like(th, tb), th)
-                Fb = _boundary_values(surface, F, tb, th)
-                worst = max(worst, float(np.max(np.abs(np.sum(x * Fb, axis=-1)))))
-                scale = max(scale, float(np.max(np.linalg.norm(Fb, axis=-1))))
-            if scale > 0.0 and worst > tangency_tol * max(scale, 1.0):
-                raise BoundaryTangencyViolated(
-                    f"field {name} has normal boundary component {worst:.2e}"
-                )
+    for name, F in (("V", V), ("W", W)):
+        worst = 0.0
+        scale = 0.0
+        for tb, _sign in surface.boundaries():
+            x = surface.phi(np.full_like(th, tb), th)
+            Fb = F(np.full_like(th, tb), th)
+            worst = max(worst, float(np.max(np.abs(np.sum(x * Fb, axis=-1)))))
+            scale = max(scale, float(np.max(np.linalg.norm(Fb, axis=-1))))
+        if scale > 0.0 and worst > TANGENCY_TOL * max(scale, 1.0):
+            raise BoundaryTangencyViolated(
+                f"field {name} has normal boundary component {worst:.2e}"
+            )
 
     Vt = _t_derivative(surface, Vg)
     Vth = fourier_diff(Vg, axis=1)
@@ -542,8 +513,8 @@ def energy_form_Q(
 
     boundary = 0.0
     for tb, _sign in surface.boundaries():
-        Vb = _boundary_values(surface, V, tb, th)
-        Wb = _boundary_values(surface, W, tb, th)
+        Vb = V(np.full_like(th, tb), th)
+        Wb = W(np.full_like(th, tb), th)
         boundary += float(np.sum(np.sum(Vb * Wb, axis=-1) * surface.boundary_speed(tb))) * wth
 
     return surface.quotient_factor * (interior - boundary)
@@ -599,7 +570,7 @@ def finite_difference_surface(
         topology=surface.topology, T=surface.T, n=surface.n,
         phi=phi, phi_t=d_t, phi_theta=d_theta,
         phi_tt=d_tt, phi_ttheta=d_ttheta, phi_thetatheta=d_thetatheta,
-        grid=grid, scale=surface.scale, name=surface.name + "+fd",
+        grid=grid, name=surface.name + "+fd",
     )
 
 
@@ -612,48 +583,30 @@ def export_obj(surface: ParametricSurface, nt: int = 48, ntheta: int = 96) -> st
     The Moebius band is meshed on the fundamental domain t in [0, T] with the
     seam row t = 0 identified under (0, theta) ~ (0, theta + pi).
     """
+    moebius = surface.topology == "moebius"
+    if moebius and ntheta % 2 != 0:
+        raise ValueError("ntheta must be even for the Moebius seam")
+    tv = np.linspace(0.0 if moebius else surface.t_min, surface.T, nt)
+    th = 2.0 * math.pi * np.arange(ntheta) / ntheta
+    half = ntheta // 2
+    # 1-based vertex numbers: consecutive over the grid, except that the
+    # second half of the Moebius seam row reuses the first half
+    own = np.ones((nt, ntheta), dtype=bool)
+    if moebius:
+        own[0, half:] = False
+    index = np.cumsum(own).reshape(nt, ntheta)
+    if moebius:
+        index[0, half:] = index[0, :half]
+    index = index.tolist()
+
     lines = [f"# steklov-lab surface mesh: {surface.name or surface.topology}"]
-    if surface.topology == "moebius":
-        if ntheta % 2 != 0:
-            raise ValueError("ntheta must be even for the Moebius seam")
-        tv = np.linspace(0.0, surface.T, nt)
-        th = 2.0 * math.pi * np.arange(ntheta) / ntheta
-        half = ntheta // 2
-        index = {}
-        verts = []
-        for i, t in enumerate(tv):
-            for j in range(ntheta):
-                if i == 0 and j >= half:
-                    index[(i, j)] = index[(0, j - half)]
-                    continue
-                p = surface.phi(np.array(t), np.array(th[j]))
-                index[(i, j)] = len(verts)
-                verts.append(p)
-        for p in verts:
-            lines.append("v " + " ".join(f"{c:.12f}" for c in np.ravel(p)))
-        for i in range(nt - 1):
-            for j in range(ntheta):
-                jn = (j + 1) % ntheta
-                a = index[(i, j)] + 1
-                b = index[(i + 1, j)] + 1
-                c = index[(i + 1, jn)] + 1
-                d = index[(i, jn)] + 1
-                lines.append(f"f {a} {b} {c}")
-                lines.append(f"f {a} {c} {d}")
-    else:
-        tv = np.linspace(surface.t_min, surface.T, nt)
-        th = 2.0 * math.pi * np.arange(ntheta) / ntheta
-        for t in tv:
-            for j in range(ntheta):
-                p = surface.phi(np.array(t), np.array(th[j]))
-                lines.append("v " + " ".join(f"{c:.12f}" for c in np.ravel(p)))
-        for i in range(nt - 1):
-            for j in range(ntheta):
-                jn = (j + 1) % ntheta
-                a = i * ntheta + j + 1
-                b = (i + 1) * ntheta + j + 1
-                c = (i + 1) * ntheta + jn + 1
-                d = i * ntheta + jn + 1
-                lines.append(f"f {a} {b} {c}")
-                lines.append(f"f {a} {c} {d}")
+    for i, j in zip(*np.nonzero(own)):
+        p = surface.phi(np.array(tv[i]), np.array(th[j]))
+        lines.append("v " + " ".join(f"{c:.12f}" for c in np.ravel(p)))
+    for i in range(nt - 1):
+        for j in range(ntheta):
+            jn = (j + 1) % ntheta
+            a, b, c, d = index[i][j], index[i + 1][j], index[i + 1][jn], index[i][jn]
+            lines.append(f"f {a} {b} {c}")
+            lines.append(f"f {a} {c} {d}")
     return "\n".join(lines) + "\n"

@@ -25,6 +25,9 @@ from steklov_lab.surfaces import (
 )
 
 
+SHIPPED = ("critical-catenoid", "critical-moebius", "flat-disk")
+
+
 @pytest.fixture(scope="module")
 def catenoid():
     return critical_catenoid()
@@ -118,18 +121,57 @@ def test_energy_form_rejects_non_tangent(catenoid):
         energy_form_Q(catenoid, bad, bad)
 
 
-def test_finite_difference_cross_check(catenoid):
-    fd = finite_difference_surface(catenoid)
+@pytest.mark.parametrize("name", SHIPPED)
+def test_finite_difference_cross_check(name):
+    fd = finite_difference_surface(surface_by_name(name))
     res = verify_minimal_free_boundary(fd)
     assert max(res.values()) < 1e-6
 
 
-def test_moebius_normal_frame(moebius):
-    tt, hh = moebius.mesh()
-    fr = moebius.normal_frame(tt[:3, :5], hh[:3, :5])
-    assert fr.shape == (3, 5, 2, 4)
-    gram = np.einsum("...ik,...jk->...ij", fr, fr)
-    assert np.max(np.abs(gram - np.eye(2))) < 1e-12
+# Independent complex reference: (F, F', F'') of the holomorphic data at z,
+# before scaling; the scale R is |Re F(T)|, since the boundary is on the sphere.
+def _catenoid_data(z, T):
+    return (
+        [np.cosh(z), -1j * np.sinh(z), z],
+        [np.sinh(z), -1j * np.cosh(z), np.ones_like(z)],
+        [np.cosh(z), -1j * np.sinh(z), np.zeros_like(z)],
+    )
+
+
+def _moebius_data(z, T):
+    return (
+        [2 * np.sinh(z), -2j * np.cosh(z), np.cosh(2 * z), -1j * np.sinh(2 * z)],
+        [2 * np.cosh(z), -2j * np.sinh(z), 2 * np.sinh(2 * z), -2j * np.cosh(2 * z)],
+        [2 * np.sinh(z), -2j * np.cosh(z), 4 * np.cosh(2 * z), -4j * np.sinh(2 * z)],
+    )
+
+
+def _disk_data(z, T):
+    w = np.exp(z - T)
+    F = [w, -1j * w, np.zeros_like(z)]
+    return F, F, F
+
+
+@pytest.mark.parametrize("make, data", [
+    (critical_catenoid, _catenoid_data),
+    (critical_moebius, _moebius_data),
+    (flat_disk, _disk_data),
+    (lambda: catenoid_piece(0.8), _catenoid_data),
+], ids=["critical-catenoid", "critical-moebius", "flat-disk", "catenoid-0.8"])
+def test_closures_match_complex_reference(make, data):
+    surf = make()
+    tt, hh = surf.mesh()
+    F, dF, d2F = (np.stack(f, axis=-1) for f in data(tt + 1j * hh, surf.T))
+    R = np.linalg.norm(np.stack(data(np.array(surf.T + 0j), surf.T)[0]).real)
+    # d/dtheta = i d/dz on holomorphic F
+    expected = {
+        "phi": F.real, "phi_t": dF.real, "phi_theta": -dF.imag,
+        "phi_tt": d2F.real, "phi_ttheta": -d2F.imag, "phi_thetatheta": -d2F.real,
+    }
+    for field, ref in expected.items():
+        got = getattr(surf, field)(tt, hh)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref / R)) <= 1e-13 * np.max(np.abs(ref / R)), field
 
 
 def test_surface_by_name():

@@ -63,8 +63,7 @@ class HarmonicBasis:
                 elements.append(("hole", j, m, 0))
                 elements.append(("hole", j, m, 1))
         self.elements = elements
-        self._trace_cache: dict[int, np.ndarray] = {}
-        self._dnu_cache: dict[int, np.ndarray] = {}
+        self._boundary_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._dirichlet: np.ndarray | None = None
 
     @property
@@ -95,38 +94,39 @@ class HarmonicBasis:
 
         Returns (vals, dz) with shape (size, len(z)); vals real, dz complex
         holding d(element)/dz (Wirtinger), so grad = 2*(Re dz, -Im dz).
+        Each circle is one cumulative power table: w = z on the outer circle
+        or w = r_j/(z - c_j) for hole j, F = w^m and dF/dz = m w^(m-1) dw/dz.
         """
-        z = np.asarray(z, dtype=complex)
-        vals = np.empty((self.size, z.size))
-        dz = np.empty((self.size, z.size), dtype=complex)
-        zf = z.ravel()
-        for i, (kind, j, m, part) in enumerate(self.elements):
-            if kind == "const":
-                vals[i] = 1.0
-                dz[i] = 0.0
-                continue
-            if kind == "outer":
-                F = zf**m
-                dF = m * zf ** (m - 1)
-            elif kind == "hole_log":
-                h = self.domain.holes[j]
-                F = np.log(np.abs(zf - h.center)) + 0j
-                dF = 1.0 / (zf - h.center)
-                # F here holds the real value; imaginary part unused
-                vals[i] = F.real
-                dz[i] = dF / 2.0
-                continue
-            else:  # hole
-                h = self.domain.holes[j]
-                w = h.radius / (zf - h.center)
-                F = w**m
-                dF = -(m / h.radius) * w ** (m + 1)
-            if part == 0:
-                vals[i] = F.real
-                dz[i] = dF / 2.0
+        zf = np.asarray(z, dtype=complex).ravel()
+        M = self.M
+        vals = np.empty((self.size, zf.size))
+        dz = np.empty((self.size, zf.size), dtype=complex)
+        vals[0] = 1.0
+        dz[0] = 0.0
+        m = np.arange(1, M + 1)[:, None]
+        i = 1
+        for hole in (None, *self.domain.holes):
+            if hole is None:
+                w, dw = zf, 1.0
             else:
-                vals[i] = F.imag
-                dz[i] = -1j * dF / 2.0
+                d = zf - hole.center
+                vals[i] = np.log(np.abs(d))
+                dz[i] = 0.5 / d
+                i += 1
+                w = hole.radius / d
+                dw = -w * w / hole.radius
+            pw = np.cumprod(np.broadcast_to(w, (M, zf.size)), axis=0)
+            vals[i:i + 2 * M:2] = pw.real
+            vals[i + 1:i + 2 * M:2] = pw.imag
+            # Re F rows take dF/2 = m w^(m-1) dw/2, Im F rows the rotated
+            # -i dF/2; both are formed in place to keep large grids lean
+            d_re, d_im = dz[i:i + 2 * M:2], dz[i + 1:i + 2 * M:2]
+            d_re[0] = 1.0
+            d_re[1:] = pw[:-1]
+            d_re *= 0.5 * m
+            d_re *= dw
+            np.multiply(d_re, -1j, out=d_im)
+            i += 2 * M
         return vals, dz
 
     def values_at(self, z: np.ndarray) -> np.ndarray:
@@ -137,28 +137,25 @@ class HarmonicBasis:
         """Wirtinger d/dz of each element, shape (size, npts) complex."""
         return self._holomorphic_parts(z)[1]
 
-    def gradients_at(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(du/dx, du/dy) arrays of shape (size, npts)."""
-        dz = self.dz_at(z)
-        return 2.0 * dz.real, -2.0 * dz.imag
-
     # -- cached boundary data -------------------------------------------------
+
+    def _boundary(self, j: int) -> tuple[np.ndarray, np.ndarray]:
+        """(traces, normal derivatives) on circle j's nodes, evaluated once."""
+        if j not in self._boundary_cache:
+            vals, dz = self._holomorphic_parts(self.circle_points(j))
+            # for u = Re F: du/d(eta) = Re(F' * eta); dz holds F'/2 (or the
+            # rotated variant for Im parts), and the same algebra applies
+            dz *= self.circle_normals(j)
+            self._boundary_cache[j] = (vals, 2.0 * dz.real)
+        return self._boundary_cache[j]
 
     def traces(self, j: int) -> np.ndarray:
         """Values of every element on circle j's quadrature nodes, (size, n_quad)."""
-        if j not in self._trace_cache:
-            self._trace_cache[j] = self.values_at(self.circle_points(j))
-        return self._trace_cache[j]
+        return self._boundary(j)[0]
 
     def normal_derivatives(self, j: int) -> np.ndarray:
         """d(element)/d(eta) on circle j's nodes, eta the outward domain normal."""
-        if j not in self._dnu_cache:
-            dz = self.dz_at(self.circle_points(j))
-            eta = self.circle_normals(j)
-            # for u = Re F: du/d(eta) = Re(F' * eta); dz holds F'/2 (or the
-            # rotated variant for Im parts), and the same algebra applies
-            self._dnu_cache[j] = 2.0 * (dz * eta[None, :]).real
-        return self._dnu_cache[j]
+        return self._boundary(j)[1]
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ back to the exact invocation.  Outputs are deterministic: the same manifest
 produces byte-identical files on the same machine, BLAS library and BLAS
 thread settings.  The manifest records none of those, and they can move the
 last digits of eigenvalues (k=2 of ``sweep --k 2,3 --budget 20`` is
-6.571530106711561 with default threads, 6.57153010671156 with one BLAS
+6.571530106711559 with default threads, 6.571530106711561 with one BLAS
 thread).
 """
 

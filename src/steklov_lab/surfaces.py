@@ -600,9 +600,9 @@ def export_obj(surface: ParametricSurface, nt: int = 48, ntheta: int = 96) -> st
     index = index.tolist()
 
     lines = [f"# steklov-lab surface mesh: {surface.name or surface.topology}"]
-    for i, j in zip(*np.nonzero(own)):
-        p = surface.phi(np.array(tv[i]), np.array(th[j]))
-        lines.append("v " + " ".join(f"{c:.12f}" for c in np.ravel(p)))
+    points = surface.phi(tv[:, None], th[None, :])
+    for p in points[own]:
+        lines.append("v " + " ".join(f"{c:.12f}" for c in p))
     for i in range(nt - 1):
         for j in range(ntheta):
             jn = (j + 1) % ntheta

@@ -118,11 +118,96 @@ def test_gradients_match_finite_differences():
     b = build_basis(dom, 3)
     z0 = -0.3 + 0.45j
     h = 1e-6
-    gx, gy = b.gradients_at(np.array([z0]))
+    dz = b.dz_at(np.array([z0]))
+    gx, gy = 2.0 * dz.real, -2.0 * dz.imag
     fx = (b.values_at(np.array([z0 + h])) - b.values_at(np.array([z0 - h]))) / (2 * h)
     fy = (b.values_at(np.array([z0 + 1j * h])) - b.values_at(np.array([z0 - 1j * h]))) / (2 * h)
     assert np.max(np.abs(gx[:, 0] - fx[:, 0])) < 1e-7
     assert np.max(np.abs(gy[:, 0] - fy[:, 0])) < 1e-7
+
+
+def _reference_parts(b, z):
+    """Per-element evaluation loop: the definition the power tables must match."""
+    z = np.asarray(z, dtype=complex)
+    vals = np.empty((b.size, z.size))
+    dz = np.empty((b.size, z.size), dtype=complex)
+    zf = z.ravel()
+    for i, (kind, j, m, part) in enumerate(b.elements):
+        if kind == "const":
+            vals[i] = 1.0
+            dz[i] = 0.0
+            continue
+        if kind == "outer":
+            F = zf**m
+            dF = m * zf ** (m - 1)
+        elif kind == "hole_log":
+            h = b.domain.holes[j]
+            F = np.log(np.abs(zf - h.center)) + 0j
+            dF = 1.0 / (zf - h.center)
+            # F here holds the real value; imaginary part unused
+            vals[i] = F.real
+            dz[i] = dF / 2.0
+            continue
+        else:  # hole
+            h = b.domain.holes[j]
+            w = h.radius / (zf - h.center)
+            F = w**m
+            dF = -(m / h.radius) * w ** (m + 1)
+        if part == 0:
+            vals[i] = F.real
+            dz[i] = dF / 2.0
+        else:
+            vals[i] = F.imag
+            dz[i] = -1j * dF / 2.0
+    return vals, dz
+
+
+THREE_HOLES = CircleDomain(
+    (Hole(0.3 + 0.1j, 0.15), Hole(-0.4 - 0.2j, 0.1), Hole(0.05 + 0.55j, 0.12))
+)
+
+
+def _row_scale(b, a):
+    """Max modulus of each row, shared by the Re and Im rows of one power.
+
+    On a symmetric grid one row of a pair can vanish exactly (Im z^32 at the
+    64th roots of unity) and then holds rounding only.
+    """
+    s = np.max(np.abs(a), axis=1)
+    for i, (_, _, _, part) in enumerate(b.elements):
+        if part == 1:
+            s[i - 1] = s[i] = max(s[i - 1], s[i])
+    return s[:, None]
+
+
+@pytest.mark.parametrize("M", [1, 2, 12, 48, 64])
+@pytest.mark.parametrize("dom", [CircleDomain(), THREE_HOLES], ids=["disk", "3holes"])
+def test_power_tables_match_per_element_loop(dom, M):
+    b = build_basis(dom, M)
+    r = (np.arange(24) + 0.5) / 24
+    grid = np.ravel(r[:, None] * np.exp(2j * math.pi * np.arange(64) / 64)[None, :])
+    points = [b.circle_points(j) for j in range(dom.k)] + [grid[dom.contains(grid, 0.01)]]
+    for z in points:
+        vals, dz = b._holomorphic_parts(z)
+        rvals, rdz = _reference_parts(b, z)
+        assert np.all(np.abs(vals - rvals) <= 1e-13 * _row_scale(b, rvals))
+        assert np.all(np.abs(dz - rdz) <= 1e-13 * _row_scale(b, rdz))
+
+
+def test_each_circle_evaluated_once(monkeypatch):
+    calls = []
+    parts = HarmonicBasis._holomorphic_parts
+
+    def counted(self, z):
+        calls.append(z)
+        return parts(self, z)
+
+    monkeypatch.setattr(HarmonicBasis, "_holomorphic_parts", counted)
+    dom = CircleDomain((Hole(0.3 + 0.1j, 0.2), Hole(-0.4j, 0.15)))
+    b = build_basis(dom, 8)
+    dirichlet_matrix(b)
+    boundary_matrices(b, _uniform(b))
+    assert len(calls) == dom.k
 
 
 def test_traces_scale():

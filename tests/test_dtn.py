@@ -113,6 +113,55 @@ def test_matches_dense_generalized_reference():
     assert abs(spec.boundary_length - as_samples(dom, dens).total_mass()) < 1e-10
 
 
+def _circumcircle(a, b, c):
+    """Center and radius of the circle through three complex points."""
+    center = (
+        abs(a) ** 2 * (b - c) + abs(b) ** 2 * (c - a) + abs(c) ** 2 * (a - b)
+    ) / (a.conjugate() * (b - c) + b.conjugate() * (c - a) + c.conjugate() * (a - b))
+    return center, abs(a - center)
+
+
+def test_sigma1_L_is_moebius_invariant():
+    # a disk automorphism maps the circle domain to another one; with the
+    # boundary measure pushed forward, the Dirichlet energy and the measure
+    # are unchanged, so sigma_1 * L is too
+    dom = CircleDomain((
+        Hole(0.35 + 0.2j, 0.15), Hole(-0.4 - 0.1j, 0.12), Hole(0.05 - 0.5j, 0.1),
+    ))
+    rng = np.random.default_rng(11)
+    dens = BoundaryDensity(tuple(
+        (0.0,) + tuple(rng.normal(0.0, 0.3 / (1 + i // 2)) for i in range(6))
+        for _ in range(dom.k)
+    ))
+    a = 0.3 - 0.2j
+
+    def phi(z):
+        return (z - a) / (1 - a.conjugate() * z)
+
+    def phi_inv(w):
+        return (w + a) / (1 + a.conjugate() * w)
+
+    image = CircleDomain(tuple(
+        Hole(*_circumcircle(*(phi(h.center + h.radius * u) for u in (1, 1j, -1))))
+        for h in dom.holes
+    ))
+    M = 24
+    n = build_basis(image, M).n_quad
+    th = 2 * math.pi * np.arange(n) / n
+    values = []
+    for j in range(image.k):
+        rho = image.component_radius(j)
+        z = phi_inv(image.component_center(j) + rho * np.exp(1j * th))
+        lam = dens.values(j, np.angle(z - dom.component_center(j)))
+        dphi = (1 - abs(a) ** 2) / (1 - a.conjugate() * z) ** 2
+        values.append(lam / np.abs(dphi) * rho)
+    pushed = BoundaryMeasureSamples(tuple(values), tuple(image.radii()))
+    ref = steklov_spectrum(dom, dens, M=M, n_eigs=2)
+    mapped = steklov_spectrum(image, pushed, M=M, n_eigs=2)
+    assert abs(mapped.boundary_length / ref.boundary_length - 1) < 1e-13
+    assert abs(mapped.sigma1_L / ref.sigma1_L - 1) < 1e-9
+
+
 def test_ritz_values_decrease_with_degree():
     dom = CircleDomain((Hole(0.35, 0.2),))
     dens = BoundaryDensity((

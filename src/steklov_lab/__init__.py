@@ -63,4 +63,8 @@ from .dbar import (
     verify_area_energy,
 )
 
+from . import _blas
+
+_blas.pin_blas_threads()
+
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -89,19 +89,21 @@ class HarmonicBasis:
 
     # -- pointwise evaluation -------------------------------------------------
 
-    def _holomorphic_parts(self, z: np.ndarray):
+    def _holomorphic_parts(self, z: np.ndarray, values: bool = True):
         """Value and d/dz data for all elements at points z.
 
         Returns (vals, dz) with shape (size, len(z)); vals real, dz complex
         holding d(element)/dz (Wirtinger), so grad = 2*(Re dz, -Im dz).
+        With ``values=False`` vals is None and its table is never built.
         Each circle is one cumulative power table: w = z on the outer circle
         or w = r_j/(z - c_j) for hole j, F = w^m and dF/dz = m w^(m-1) dw/dz.
         """
         zf = np.asarray(z, dtype=complex).ravel()
         M = self.M
-        vals = np.empty((self.size, zf.size))
+        vals = np.empty((self.size, zf.size)) if values else None
         dz = np.empty((self.size, zf.size), dtype=complex)
-        vals[0] = 1.0
+        if values:
+            vals[0] = 1.0
         dz[0] = 0.0
         m = np.arange(1, M + 1)[:, None]
         i = 1
@@ -110,14 +112,16 @@ class HarmonicBasis:
                 w, dw = zf, 1.0
             else:
                 d = zf - hole.center
-                vals[i] = np.log(np.abs(d))
+                if values:
+                    vals[i] = np.log(np.abs(d))
                 dz[i] = 0.5 / d
                 i += 1
                 w = hole.radius / d
                 dw = -w * w / hole.radius
             pw = np.cumprod(np.broadcast_to(w, (M, zf.size)), axis=0)
-            vals[i:i + 2 * M:2] = pw.real
-            vals[i + 1:i + 2 * M:2] = pw.imag
+            if values:
+                vals[i:i + 2 * M:2] = pw.real
+                vals[i + 1:i + 2 * M:2] = pw.imag
             # Re F rows take dF/2 = m w^(m-1) dw/2, Im F rows the rotated
             # -i dF/2; both are formed in place to keep large grids lean
             d_re, d_im = dz[i:i + 2 * M:2], dz[i + 1:i + 2 * M:2]
@@ -135,7 +139,7 @@ class HarmonicBasis:
 
     def dz_at(self, z: np.ndarray) -> np.ndarray:
         """Wirtinger d/dz of each element, shape (size, npts) complex."""
-        return self._holomorphic_parts(z)[1]
+        return self._holomorphic_parts(z, values=False)[1]
 
     # -- cached boundary data -------------------------------------------------
 

@@ -4,11 +4,12 @@ Commands: spectrum, closedform, maximize, sweep, surface verify, dbar demo,
 export-obj.  Every run appends its manifest to runs.jsonl in the working
 directory; every output file embeds the manifest hash so results can be traced
 back to the exact invocation.  Outputs are deterministic: the same manifest
-produces byte-identical files on the same machine, BLAS library and BLAS
-thread settings.  The manifest records none of those, and they can move the
-last digits of eigenvalues (k=2 of ``sweep --k 2,3 --budget 20`` is
-6.571530106711559 with default threads, 6.571530106711561 with one BLAS
-thread).
+produces byte-identical files on the same machine and BLAS library.  BLAS
+runs on one thread unless OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or
+OMP_NUM_THREADS is set; the thread count can move the last digits of
+eigenvalues, so the manifest hash records it (k=2 of ``sweep --k 2,3
+--budget 20`` is 6.571530106711561 with one thread, 6.571530106711559 with
+OPENBLAS_NUM_THREADS=2, under different hashes).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
+from ._blas import blas_threads
 from .closedform import (
     annulus_spectrum,
     critical_parameter,
@@ -72,14 +74,17 @@ class _Parser(argparse.ArgumentParser):
 class RunManifest:
     """Reproducibility record for one CLI invocation.
 
-    The hash covers command, inputs, version, and tolerances; timing is kept
-    out of it so reruns of the same invocation hash identically.
+    The hash covers command, inputs, version, tolerances and the effective
+    BLAS thread count of numpy's and scipy's OpenBLAS (None where a library is
+    absent); timing is kept out of it so reruns of the same invocation hash
+    identically.
     """
 
     command: str
     inputs: dict
     version: str = __version__
     tolerances: dict = field(default_factory=dict)
+    blas_threads: dict = field(default_factory=blas_threads)
     timing: float = 0.0
 
     def reproducible(self) -> dict:
@@ -88,6 +93,7 @@ class RunManifest:
             "inputs": self.inputs,
             "version": self.version,
             "tolerances": self.tolerances,
+            "blas_threads": self.blas_threads,
         }
 
     @property

@@ -75,14 +75,13 @@ class SteklovSpectrum:
 
 
 def _cluster(vals: np.ndarray, tol: float) -> list[list[int]]:
-    clusters = [[0]] if len(vals) else []
-    for i in range(1, len(vals)):
-        gap = vals[i] - vals[i - 1]
-        if gap <= tol * max(1.0, abs(vals[i])):
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
-    return clusters
+    """Runs of consecutive indices whose gaps are at most tol * max(1, |sigma|)."""
+    if not vals.size:
+        return []
+    joined = np.diff(vals) <= tol * np.maximum(1.0, np.abs(vals[1:]))
+    cuts = [0, *(np.flatnonzero(~joined) + 1).tolist(), vals.size]
+    idx = list(range(vals.size))
+    return [idx[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
 def steklov_spectrum(

@@ -247,11 +247,8 @@ def _step_candidate(samples, direction, s, eps):
 
 def _near_cluster(spec: SteklovSpectrum, tol: float) -> np.ndarray:
     """Eigenvector columns within tol of sigma_1 (always including it)."""
-    vals = spec.eigenvalues
-    keep = [
-        i for i in range(1, len(vals))
-        if vals[i] - vals[1] <= tol * max(1.0, vals[1])
-    ]
+    rest = spec.eigenvalues[1:]
+    keep = 1 + np.flatnonzero(rest - rest[:1] <= tol * np.maximum(1.0, rest[:1]))
     return spec.eigenvectors[:, keep]
 
 

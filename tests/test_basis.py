@@ -194,6 +194,17 @@ def test_power_tables_match_per_element_loop(dom, M):
         assert np.all(np.abs(dz - rdz) <= 1e-13 * _row_scale(b, rdz))
 
 
+@pytest.mark.parametrize("dom", [CircleDomain(), THREE_HOLES], ids=["disk", "3holes"])
+def test_dz_at_matches_full_table_bitwise(dom):
+    # dz_at skips the value table but fills dz by the same arithmetic
+    b = build_basis(dom, 48)
+    r = (np.arange(24) + 0.5) / 24
+    grid = np.ravel(r[:, None] * np.exp(2j * math.pi * np.arange(64) / 64)[None, :])
+    for z in [b.circle_points(j) for j in range(dom.k)] + [grid[dom.contains(grid, 0.01)]]:
+        assert b.dz_at(z).tobytes() == b._holomorphic_parts(z)[1].tobytes()
+    assert b._holomorphic_parts(grid[:3], values=False)[0] is None
+
+
 def test_each_circle_evaluated_once(monkeypatch):
     calls = []
     parts = HarmonicBasis._holomorphic_parts

@@ -14,9 +14,11 @@ from steklov_lab.domain import (
     as_samples,
 )
 from steklov_lab.dtn import (
+    CLUSTER_TOL,
     IndexOutOfRange,
     MassMatrixDegenerate,
     SteklovSpectrum,
+    _cluster,
     coarse_bound,
     multiplicity_bound,
     multiplicity_check,
@@ -43,6 +45,45 @@ def test_disk_clusters():
     assert spec.cluster_of(2) == [1, 2]
     with pytest.raises(IndexOutOfRange):
         spec.cluster_of(99)
+
+
+def _cluster_loop(vals, tol):
+    """Reference: one pass over the sorted eigenvalues."""
+    clusters = [[0]] if len(vals) else []
+    for i in range(1, len(vals)):
+        gap = vals[i] - vals[i - 1]
+        if gap <= tol * max(1.0, abs(vals[i])):
+            clusters[-1].append(i)
+        else:
+            clusters.append([i])
+    return clusters
+
+
+def test_cluster_matches_loop():
+    tol = CLUSTER_TOL
+    edge = 3.0 + tol * 3.0  # gap to 3.0 near tol * max(1, |sigma|)
+    cases = [
+        [], [0.0], [2.5],
+        [0.0, 1.0, 1.0, 2.0, 2.0, 2.0],  # exact ties
+        [0.0, 0.5, 0.5 + tol, 0.5 + 2 * tol],
+        [0.0, 3.0, edge, np.nextafter(edge, np.inf), edge + 4 * tol * edge],
+        [-1.0, -1.0 + tol, 0.0],
+    ]
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        v = np.sort(rng.choice([0.0, 1.0, 1.0 + 1e-7, 1.0 + 1e-6, 2.0, 4.0], size=rng.integers(0, 12)))
+        cases.append(list(v) + list(np.cumsum(rng.exponential(3e-6, 6)) + 5.0))
+    for vals in cases:
+        vals = np.array(vals, dtype=float)
+        for t in (tol, 1e-2, 0.0):
+            assert _cluster(vals, t) == _cluster_loop(vals, t)
+    # a gap exactly at the threshold joins, one ulp wider splits (exact in binary)
+    t = 2.0 ** -20
+    for top in (1.0, 4.0):
+        at = top - t * top
+        wider = np.nextafter(at, -np.inf)
+        assert _cluster(np.array([at, top]), t) == _cluster_loop([at, top], t) == [[0, 1]]
+        assert _cluster(np.array([wider, top]), t) == _cluster_loop([wider, top], t) == [[0], [1]]
 
 
 def test_eigenvectors_b_orthonormal():

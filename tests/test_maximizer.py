@@ -11,7 +11,7 @@ from steklov_lab.domain import (
     CircleDomain,
     Hole,
 )
-from steklov_lab.dtn import steklov_spectrum
+from steklov_lab.dtn import SteklovSpectrum, steklov_spectrum
 from steklov_lab.maximizer import (
     AscentState,
     BudgetExhausted,
@@ -20,6 +20,7 @@ from steklov_lab.maximizer import (
     EigensolveBudget,
     NotAnEigenfunction,
     SweepEntry,
+    _near_cluster,
     density_gradient,
     extremality_certificate,
     optimize_configuration,
@@ -38,6 +39,35 @@ def matched_samples(rho, n=256, inner_factor=1.0):
     return BoundaryMeasureSamples(
         (np.full(n, 1.0), np.full(n, inner_factor)), (1.0, rho)
     )
+
+
+def _near_cluster_loop(spec, tol):
+    """Reference: one pass over the eigenvalues above sigma_0."""
+    vals = spec.eigenvalues
+    keep = [i for i in range(1, len(vals)) if vals[i] - vals[1] <= tol * max(1.0, vals[1])]
+    return spec.eigenvectors[:, keep]
+
+
+def test_near_cluster_matches_loop():
+    t = 2.0 ** -7
+    cases = [
+        [], [0.0], [0.0, 2.0],
+        [0.0, 1.0, 1.0, 1.0, 2.0],  # exact ties
+        [0.0, 0.5, 0.5 + t, np.nextafter(0.5 + t, np.inf), 0.75],  # gap exactly tol, then wider
+        [0.0, 4.0, 4.0 + 4 * t, np.nextafter(4.0 + 4 * t, np.inf)],  # tol * sigma_1 when sigma_1 > 1
+    ]
+    rng = np.random.default_rng(3)
+    cases += [[0.0] + sorted(rng.choice([1.0, 1.005, 1.01, 1.02, 3.0], size=6)) for _ in range(30)]
+    for vals in cases:
+        n = len(vals)
+        spec = SteklovSpectrum(np.array(vals, dtype=float), np.arange(n, dtype=float)[None, :],
+                               [], 1.0)
+        for tol in (t, 1e-2, 0.0):
+            got, ref = _near_cluster(spec, tol), _near_cluster_loop(spec, tol)
+            assert got.shape == ref.shape and np.array_equal(got, ref)
+    spec = SteklovSpectrum(np.array([0.0, 0.5, 0.5 + t, np.nextafter(0.5 + t, np.inf)]),
+                           np.arange(4.0)[None, :], [], 1.0)
+    assert _near_cluster(spec, t).tolist() == [[1.0, 2.0]]
 
 
 @pytest.fixture(scope="module")

@@ -14,7 +14,9 @@ The second half of the module applies the solver: given a scalar field psi on
 an annulus-type free boundary minimal surface whose compatibility integral
 vanishes, it constructs an ambient conformal vector field Y = Y_tan + psi*nu
 with x . Y = 0 on the boundary, and checks the second-variation identity
-Q(Y, Y) = S(psi nu, psi nu) connecting the energy and area forms.
+Q(Y, Y) = S(psi nu, psi nu) connecting the energy and area forms.  The
+candidates for psi are one stacked closure (nu1, nu2, nu3, x.nu); every psi
+handed out is a fixed linear combination of it.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .spectral1d import diff_matrix, fourier_diff, interp_matrix, lobatto
-from .surfaces import ParametricSurface, VariationField, energy_form_Q, index_form_S
+from .surfaces import ParametricSurface, VariationField, _t_derivative, energy_form_Q, index_form_S
 
 SOLVABILITY_TOL = 1e-8
 
@@ -86,8 +88,10 @@ class DbarSolution:
     """Solution f = u + iv on the grid, plus its Fourier modes in theta.
 
     ``modes[:, n]`` holds f_n(t) at the Lobatto nodes in numpy FFT frequency
-    order.  ``evaluate`` interpolates to arbitrary points (barycentric in t,
-    exact trigonometric sum in theta).
+    order.  ``evaluate`` interpolates to arbitrary broadcastable (t, theta):
+    one barycentric row per distinct t, the phases exp(i n theta) on theta's
+    own shape, and one contraction over n.  On an open grid (t as a column,
+    theta as a row) neither factor is formed per point.
     """
 
     T: float
@@ -104,17 +108,11 @@ class DbarSolution:
     def evaluate(self, t, theta) -> np.ndarray:
         t = np.asarray(t, dtype=float)
         theta = np.asarray(theta, dtype=float)
-        bshape = np.broadcast(t, theta).shape
-        tf = np.broadcast_to(t, bshape).ravel()
-        hf = np.broadcast_to(theta, bshape).ravel()
-        uniq, inv = np.unique(tf, return_inverse=True)
-        P = interp_matrix(self.t_nodes, uniq)
-        modes_at = P @ self.modes
+        uniq, inv = np.unique(t, return_inverse=True)
+        modes_at = (interp_matrix(self.t_nodes, uniq) @ self.modes)[inv.reshape(t.shape)]
         ntheta = self.modes.shape[1]
-        freqs = np.fft.fftfreq(ntheta, d=1.0 / ntheta)
-        phases = np.exp(1j * hf[:, None] * freqs[None, :])
-        vals = np.sum(modes_at[inv] * phases, axis=1)
-        return vals.reshape(bshape)
+        phases = np.exp(1j * theta[..., None] * np.fft.fftfreq(ntheta, d=1.0 / ntheta))
+        return np.einsum("...n,...n->...", modes_at, phases, optimize=True)
 
     def boundary_re_max(self) -> float:
         return float(max(np.max(np.abs(self.values[0].real)),
@@ -249,14 +247,17 @@ def solve_dbar(problem: DbarProblem) -> DbarSolution:
 class ConformalFieldSpace:
     """Candidate normal components for conformal fields and their constraint.
 
-    ``psis`` are scalar closures on the parameter cylinder; ``constraint`` is
-    the row of compatibility integrals; ``kernel`` holds coefficient columns
-    spanning the admissible subspace (constraint below threshold); ``gram``
-    is the L2 Gram matrix of the candidates over the surface.
+    ``candidates`` is one closure (t, theta) -> (..., m) returning every raw
+    candidate; candidate a scaled by ``scale[a]`` (its inverse L2 norm, or 0
+    for a degenerate one) is ``psis[a]``.  ``constraint`` is the row of their
+    compatibility integrals; ``kernel`` holds coefficient columns spanning the
+    admissible subspace (constraint below threshold); ``gram`` is the L2 Gram
+    matrix of the raw candidates over the surface.
     """
 
     labels: list
-    psis: list
+    candidates: callable
+    scale: np.ndarray
     gram: np.ndarray
     gram_eigenvalues: np.ndarray
     constraint: np.ndarray
@@ -264,42 +265,55 @@ class ConformalFieldSpace:
     dim_C: int
     dim_C1: int
 
+    def _combination(self, coeffs):
+        """The scalar closure sum_a coeffs[a] * psis[a]."""
+        c = self.scale * coeffs
+        return lambda t, theta: self.candidates(t, theta) @ c
+
+    @property
+    def psis(self) -> list:
+        return [self._combination(e) for e in np.eye(len(self.labels))]
+
     def kernel_psi(self, column: int):
-        coeffs = self.kernel[:, column]
-        psis = self.psis
-
-        def psi(t, theta):
-            out = None
-            for c, p in zip(coeffs, psis):
-                term = c * p(t, theta)
-                out = term if out is None else out + term
-            return out
-
-        return psi
+        return self._combination(self.kernel[:, column])
 
     def kernel_psis(self) -> list:
         return [self.kernel_psi(j) for j in range(self.dim_C1)]
 
 
+def _shape_weight(surface: ParametricSurface, t, theta):
+    """(phi_tt.nu + i phi_ttheta.nu) / |phi_t|^2, the d-bar datum per unit psi."""
+    nu = surface.unit_normal(t, theta)
+    lam2 = np.sum(surface.phi_t(t, theta) ** 2, axis=-1)
+    h11 = np.sum(surface.phi_tt(t, theta) * nu, axis=-1)
+    h12 = np.sum(surface.phi_ttheta(t, theta) * nu, axis=-1)
+    return (h11 + 1j * h12) / lam2
+
+
 def _compat_rhs(surface: ParametricSurface, psi):
     """Closure for k = psi (phi_tt.nu + i phi_ttheta.nu) / |phi_t|^2."""
-
-    def rhs(t, theta):
-        nu = surface.unit_normal(t, theta)
-        lam2 = np.sum(surface.phi_t(t, theta) ** 2, axis=-1)
-        h11 = np.sum(surface.phi_tt(t, theta) * nu, axis=-1)
-        h12 = np.sum(surface.phi_ttheta(t, theta) * nu, axis=-1)
-        return psi(t, theta) * (h11 + 1j * h12) / lam2
-
-    return rhs
+    return lambda t, theta: psi(t, theta) * _shape_weight(surface, t, theta)
 
 
 def compatibility_integral(surface: ParametricSurface, psi) -> float:
     """Integral of Re k over the parameter cylinder (the solvability pairing)."""
-    t, wt, th, wth = surface.nodes()
-    tt, hh = np.meshgrid(t, th, indexing="ij")
-    k = _compat_rhs(surface, psi)(tt, hh)
+    _, wt, _, wth = surface.nodes()
+    k = surface.sample(_compat_rhs(surface, psi))
     return float(wt @ np.sum(k.real, axis=1)) * wth
+
+
+def _complement(unit: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning the complement of a unit vector.
+
+    One Householder reflection H maps unit to -sign(unit[k]) e_k, k its
+    largest entry; the other columns of H span the complement and move
+    continuously with unit.
+    """
+    k = int(np.argmax(np.abs(unit)))
+    v = unit.copy()
+    v[k] += math.copysign(1.0, unit[k])
+    H = np.eye(len(unit)) - (2.0 / (v @ v)) * np.outer(v, v)
+    return np.delete(H, k, axis=1)
 
 
 def conformal_field_space(surface: ParametricSurface, svd_tol: float = 1e-8) -> ConformalFieldSpace:
@@ -309,66 +323,43 @@ def conformal_field_space(surface: ParametricSurface, svd_tol: float = 1e-8) -> 
     candidates are kept with zero normalization and excluded from the count
     dim_C).  The kernel of the 1 x m constraint row below ``svd_tol`` spans
     the normal components for which build_conformal_variation is solvable.
+    Gram matrix and constraint row each come from one quadrature of the
+    sampled candidate table, since both are (bi)linear in the candidates.
     """
     if surface.n != 3:
         raise ValueError("conformal field candidates implemented for n = 3")
 
-    base = [
-        ("nu1", lambda t, th: surface.unit_normal(t, th)[..., 0]),
-        ("nu2", lambda t, th: surface.unit_normal(t, th)[..., 1]),
-        ("nu3", lambda t, th: surface.unit_normal(t, th)[..., 2]),
-        ("x.nu", lambda t, th: np.sum(surface.phi(t, th) * surface.unit_normal(t, th), axis=-1)),
-    ]
-    t, wt, th, wth = surface.nodes()
-    tt, hh = np.meshgrid(t, th, indexing="ij")
-    lam2 = surface.conformal_factor_sq()
-    qf = surface.quotient_factor
+    def candidates(t, theta):
+        nu = surface.unit_normal(t, theta)
+        x_nu = np.sum(surface.phi(t, theta) * nu, axis=-1, keepdims=True)
+        return np.concatenate([nu, x_nu], axis=-1)
 
-    grids = [p(tt, hh) for _, p in base]
-    m = len(base)
-    gram = np.zeros((m, m))
-    for a in range(m):
-        for b in range(a, m):
-            gram[a, b] = gram[b, a] = qf * float(wt @ np.sum(grids[a] * grids[b] * lam2, axis=1)) * wth
+    labels = ["nu1", "nu2", "nu3", "x.nu"]
+    _, wt, _, wth = surface.nodes()
+    table = surface.sample(candidates)
+    weights = wt[:, None] * wth  # dt dtheta quadrature weights on the grid
+    area_weights = surface.quotient_factor * weights * surface.conformal_factor_sq()
+    gram = np.einsum("ij,ija,ijb->ab", area_weights, table, table, optimize=True)
     norms = np.sqrt(np.maximum(np.diag(gram), 0.0))
+    live = norms > 1e-12
+    scale = np.divide(1.0, norms, out=np.zeros_like(norms), where=live)
 
-    labels, psis, keepn = [], [], []
-    for (lab, p), nrm in zip(base, norms):
-        labels.append(lab)
-        if nrm > 1e-12:
-            psis.append(lambda t, th, p=p, nrm=nrm: p(t, th) / nrm)
-            keepn.append(nrm)
-        else:
-            psis.append(lambda t, th, p=p: p(t, th) * 0.0)
-            keepn.append(0.0)
-
-    gram_n = gram.copy()
-    for a in range(m):
-        for b in range(m):
-            na, nb = keepn[a], keepn[b]
-            gram_n[a, b] = gram[a, b] / (na * nb) if na > 0 and nb > 0 else 0.0
-    evals = np.linalg.eigvalsh(gram_n)
+    evals = np.linalg.eigvalsh(scale[:, None] * gram * scale[None, :])
     dim_C = int(np.sum(evals > 1e-8))
 
-    constraint = np.array([compatibility_integral(surface, p) for p in psis])
+    # Re k = psi h11 / |phi_t|^2 is linear in psi: one integral gives the row
+    re_k = surface.sample(lambda t, theta: _shape_weight(surface, t, theta).real)
+    constraint = scale * np.einsum("ij,ija->a", weights * re_k, table, optimize=True)
     row_norm = np.linalg.norm(constraint)
     if row_norm <= svd_tol:
-        kernel = np.eye(m)
+        kernel = np.eye(len(labels))
     else:
-        unit = constraint / row_norm
-        # kernel of the rank-1 row: complement of its right singular vector
-        proj = np.eye(m) - np.outer(unit, unit)
-        evals_p, vecs = np.linalg.eigh(proj)
-        kernel = vecs[:, evals_p > 0.5]
+        kernel = _complement(constraint / row_norm)
     # drop kernel directions supported on degenerate (zero) candidates
-    live = np.array([nrm > 0.0 for nrm in keepn])
-    if not live.all():
-        keep_cols = [j for j in range(kernel.shape[1])
-                     if np.linalg.norm(kernel[live, j]) > 1e-12]
-        kernel = kernel[:, keep_cols]
+    kernel = kernel[:, np.linalg.norm(kernel[live], axis=0) > 1e-12]
 
     return ConformalFieldSpace(
-        labels=labels, psis=psis, gram=gram,
+        labels=labels, candidates=candidates, scale=scale, gram=gram,
         gram_eigenvalues=evals, constraint=constraint,
         kernel=kernel, dim_C=dim_C, dim_C1=kernel.shape[1],
     )
@@ -409,23 +400,19 @@ def build_conformal_variation(
     Y = VariationField(Y_fn, kind="general")
 
     # conformality certificate on the surface tensor grid
-    tt, hh = surface.mesh()
-    Yg = Y_fn(tt, hh)
-    t_nodes, _, th, _ = surface.nodes()
-    Dt = diff_matrix(t_nodes)
-    Yt = np.einsum("ij,jkl->ikl", Dt, Yg)
+    Yg = surface.sample(Y_fn)
+    Yt = _t_derivative(surface, Yg)
     Yth = fourier_diff(Yg, axis=1)
-    pt = surface.phi_t(tt, hh)
-    pth = surface.phi_theta(tt, hh)
-    lam2 = np.sum(pt**2, axis=-1)
+    pt, pth = surface.first_derivatives()
+    lam2 = surface.conformal_factor_sq()
     diag = np.abs(np.sum(Yt * pt, axis=-1) - np.sum(Yth * pth, axis=-1)) / lam2
     off = np.abs(np.sum(Yt * pth, axis=-1) + np.sum(Yth * pt, axis=-1)) / lam2
 
     tangency = 0.0
     for tb, _sign in surface.boundaries():
-        tb_arr = np.full_like(th, tb)
-        x = surface.phi(tb_arr, th)
-        tangency = max(tangency, float(np.max(np.abs(np.sum(x * Y_fn(tb_arr, th), axis=-1)))))
+        x = surface.sample_circle(surface.phi, tb)
+        Yb = surface.sample_circle(Y_fn, tb)
+        tangency = max(tangency, float(np.max(np.abs(np.sum(x * Yb, axis=-1)))))
 
     return ConformalVariation(
         Y=Y, psi=psi, solution=sol,

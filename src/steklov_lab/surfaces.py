@@ -25,7 +25,8 @@ without finite differencing.  The module provides
 
 Quadrature is Gauss-Legendre in t (spectrally accurate for these analytic
 integrands) and periodic trapezoid in theta; Moebius quantities are computed
-on the orientation double cover and halved.
+on the orientation double cover and halved.  Closures are evaluated on the
+open mesh (t column, theta row) and read through ``ParametricSurface.sample``.
 """
 
 from __future__ import annotations
@@ -100,14 +101,33 @@ class ParametricSurface:
         return self._cache[key]
 
     def mesh(self) -> tuple[np.ndarray, np.ndarray]:
+        """Open grid: t nodes as (nt, 1) and theta nodes as (1, ntheta).
+
+        Closures broadcast over it, so each evaluates its t factors once per
+        t node and its theta factors once per theta node.  Fields are read
+        through ``sample``, which restores the full grid shape.
+        """
         t, _, th, _ = self.nodes()
-        return np.meshgrid(t, th, indexing="ij")
+        return t[:, None], th[None, :]
+
+    def sample(self, fn) -> np.ndarray:
+        """fn on the mesh, broadcast to the full (nt, ntheta, ...) shape.
+
+        A field that ignores theta (or t) returns one row (or column) on the
+        open grid; the broadcast keeps quadratures from losing that factor.
+        """
+        vals = np.asarray(fn(*self.mesh()))
+        return np.broadcast_to(vals, self.grid + vals.shape[2:])
+
+    def sample_circle(self, fn, tb: float) -> np.ndarray:
+        """fn on the boundary circle t = tb at the theta nodes."""
+        _, _, th, _ = self.nodes()
+        return fn(np.full_like(th, tb), th)
 
     def first_derivatives(self):
         key = "d1"
         if key not in self._cache:
-            tt, hh = self.mesh()
-            self._cache[key] = (self.phi_t(tt, hh), self.phi_theta(tt, hh))
+            self._cache[key] = (self.sample(self.phi_t), self.sample(self.phi_theta))
         return self._cache[key]
 
     def conformal_factor_sq(self) -> np.ndarray:
@@ -121,9 +141,7 @@ class ParametricSurface:
 
     def boundary_speed(self, tb: float) -> np.ndarray:
         """|phi_theta| on the boundary circle t = tb (arc length element)."""
-        _, _, th, _ = self.nodes()
-        pth = self.phi_theta(np.full_like(th, tb), th)
-        return np.linalg.norm(pth, axis=-1)
+        return np.linalg.norm(self.sample_circle(self.phi_theta, tb), axis=-1)
 
     def boundary_length(self) -> float:
         _, _, _, wth = self.nodes()
@@ -320,12 +338,10 @@ def verify_minimal_free_boundary(surface: ParametricSurface) -> dict:
     Moebius topology).  All vanish to discretization accuracy exactly when the
     surface is a conformal minimal immersion meeting the sphere orthogonally.
     """
-    tt, hh = surface.mesh()
-    pt = surface.phi_t(tt, hh)
-    pth = surface.phi_theta(tt, hh)
-    ptt = surface.phi_tt(tt, hh)
-    phh = surface.phi_thetatheta(tt, hh)
-    vals = surface.phi(tt, hh)
+    pt, pth = surface.first_derivatives()
+    ptt = surface.sample(surface.phi_tt)
+    phh = surface.sample(surface.phi_thetatheta)
+    vals = surface.sample(surface.phi)
 
     lam2 = np.sum(pt**2, axis=-1)
     res = {
@@ -335,12 +351,10 @@ def verify_minimal_free_boundary(surface: ParametricSurface) -> dict:
         "containment": float(max(np.max(np.linalg.norm(vals, axis=-1)) - 1.0, 0.0)),
     }
 
-    _, _, th, _ = surface.nodes()
     sphere = conormal = eigen = 0.0
     for tb, sign in surface.boundaries():
-        tb_arr = np.full_like(th, tb)
-        x = surface.phi(tb_arr, th)
-        dpt = surface.phi_t(tb_arr, th)
+        x = surface.sample_circle(surface.phi, tb)
+        dpt = surface.sample_circle(surface.phi_t, tb)
         lam = np.linalg.norm(dpt, axis=-1, keepdims=True)
         eta = sign * dpt / lam
         sphere = max(sphere, float(np.max(np.abs(1.0 - np.linalg.norm(x, axis=-1)))))
@@ -353,7 +367,7 @@ def verify_minimal_free_boundary(surface: ParametricSurface) -> dict:
     res["eigenfunction"] = eigen
 
     if surface.topology == "moebius":
-        ident = surface.phi(-tt, hh + math.pi) - vals
+        ident = surface.sample(lambda t, theta: surface.phi(-t, theta + math.pi)) - vals
         res["identification"] = float(np.max(np.linalg.norm(ident, axis=-1)))
     return res
 
@@ -379,7 +393,7 @@ def area_integral(surface: ParametricSurface, scalar_grid: np.ndarray) -> float:
 
 def field_norm_sq_integral(surface: ParametricSurface, W) -> float:
     """int |W|^2 da over the surface."""
-    Wg = W(*surface.mesh())
+    Wg = surface.sample(W)
     return area_integral(surface, np.sum(Wg**2, axis=-1))
 
 
@@ -391,16 +405,14 @@ def index_form_S(surface: ParametricSurface, W) -> float:
     The field must be normal on the grid to within ``NORMAL_TOL`` relative to
     its size, otherwise NotNormal is raised.
     """
-    t, wt, th, wth = surface.nodes()
-    tt, hh = surface.mesh()
-    pt = surface.phi_t(tt, hh)
-    pth = surface.phi_theta(tt, hh)
+    _, wt, _, wth = surface.nodes()
+    pt, pth = surface.first_derivatives()
     lam2 = np.sum(pt**2, axis=-1)
     lam = np.sqrt(lam2)
     e1 = pt / lam[..., None]
     e2 = pth / np.linalg.norm(pth, axis=-1, keepdims=True)
 
-    Wg = W(tt, hh)
+    Wg = surface.sample(W)
     scale = float(np.max(np.linalg.norm(Wg, axis=-1)))
     if scale > 0.0:
         tang = np.maximum(
@@ -422,9 +434,9 @@ def index_form_S(surface: ParametricSurface, W) -> float:
         d = d - np.sum(d * e2, axis=-1, keepdims=True) * e2
         grad_perp_sq += np.sum(d**2, axis=-1)
 
-    ptt = surface.phi_tt(tt, hh)
-    ptth = surface.phi_ttheta(tt, hh)
-    phh = surface.phi_thetatheta(tt, hh)
+    ptt = surface.sample(surface.phi_tt)
+    ptth = surface.sample(surface.phi_ttheta)
+    phh = surface.sample(surface.phi_thetatheta)
     a11 = np.sum(ptt * Wg, axis=-1) / lam2
     a12 = np.sum(ptth * Wg, axis=-1) / lam2
     a22 = np.sum(phh * Wg, axis=-1) / lam2
@@ -434,7 +446,7 @@ def index_form_S(surface: ParametricSurface, W) -> float:
 
     boundary = 0.0
     for tb, _sign in surface.boundaries():
-        Wb = W(np.full_like(th, tb), th)
+        Wb = surface.sample_circle(W, tb)
         boundary += float(np.sum(np.sum(Wb**2, axis=-1) * surface.boundary_speed(tb))) * wth
 
     return surface.quotient_factor * (interior - boundary)
@@ -447,10 +459,10 @@ def index_form_boundary(surface: ParametricSurface, v: np.ndarray) -> float:
     surface; used as the independent check of the interior quadrature.
     """
     v = np.asarray(v, dtype=float)
-    _, _, th, wth = surface.nodes()
+    _, _, _, wth = surface.nodes()
     total = 0.0
     for tb, _sign in surface.boundaries():
-        x = surface.phi(np.full_like(th, tb), th)
+        x = surface.sample_circle(surface.phi, tb)
         vx = x @ v
         total += float(np.sum((-1.0 + 2.0 * vx**2) * surface.boundary_speed(tb))) * wth
     return surface.quotient_factor * total
@@ -483,39 +495,34 @@ def energy_form_Q(surface: ParametricSurface, V, W) -> float:
     Both fields must be tangent to the unit sphere along the boundary
     (|x . V| within ``TANGENCY_TOL`` of zero relative to max(|V|, 1)), since
     the form is the second variation of energy among maps keeping the boundary
-    on the sphere; otherwise BoundaryTangencyViolated is raised.
+    on the sphere; otherwise BoundaryTangencyViolated is raised.  Each field
+    is sampled once on the mesh and once on each boundary circle; W is V
+    reuses V's samples.
     """
-    t, wt, th, wth = surface.nodes()
-    tt, hh = surface.mesh()
-    Vg = V(tt, hh)
-    Wg = W(tt, hh)
+    _, wt, _, wth = surface.nodes()
+    circles = [tb for tb, _sign in surface.boundaries()]
+    xs = [surface.sample_circle(surface.phi, tb) for tb in circles]
 
-    for name, F in (("V", V), ("W", W)):
-        worst = 0.0
-        scale = 0.0
-        for tb, _sign in surface.boundaries():
-            x = surface.phi(np.full_like(th, tb), th)
-            Fb = F(np.full_like(th, tb), th)
-            worst = max(worst, float(np.max(np.abs(np.sum(x * Fb, axis=-1)))))
-            scale = max(scale, float(np.max(np.linalg.norm(Fb, axis=-1))))
+    def sampled(name, F):
+        Fb = [surface.sample_circle(F, tb) for tb in circles]
+        worst = max(float(np.max(np.abs(np.sum(x * f, axis=-1)))) for x, f in zip(xs, Fb))
+        scale = max(float(np.max(np.linalg.norm(f, axis=-1))) for f in Fb)
         if scale > 0.0 and worst > TANGENCY_TOL * max(scale, 1.0):
             raise BoundaryTangencyViolated(
                 f"field {name} has normal boundary component {worst:.2e}"
             )
+        Fg = surface.sample(F)
+        return Fb, _t_derivative(surface, Fg), fourier_diff(Fg, axis=1)
 
-    Vt = _t_derivative(surface, Vg)
-    Vth = fourier_diff(Vg, axis=1)
-    Wt = _t_derivative(surface, Wg)
-    Wth = fourier_diff(Wg, axis=1)
+    Vb, Vt, Vth = sampled("V", V)
+    Wb, Wt, Wth = (Vb, Vt, Vth) if W is V else sampled("W", W)
     # <DV, DW> da is conformally invariant: (Vt.Wt + Vth.Wth) dt dtheta
     dens = np.sum(Vt * Wt, axis=-1) + np.sum(Vth * Wth, axis=-1)
     interior = float(wt @ np.sum(dens, axis=1)) * wth
 
     boundary = 0.0
-    for tb, _sign in surface.boundaries():
-        Vb = V(np.full_like(th, tb), th)
-        Wb = W(np.full_like(th, tb), th)
-        boundary += float(np.sum(np.sum(Vb * Wb, axis=-1) * surface.boundary_speed(tb))) * wth
+    for tb, Vc, Wc in zip(circles, Vb, Wb):
+        boundary += float(np.sum(np.sum(Vc * Wc, axis=-1) * surface.boundary_speed(tb))) * wth
 
     return surface.quotient_factor * (interior - boundary)
 

@@ -6,6 +6,7 @@ import pytest
 from steklov_lab.dbar import (
     DbarProblem,
     Unsolvable,
+    _complement,
     build_conformal_variation,
     compatibility_integral,
     conformal_field_space,
@@ -15,7 +16,8 @@ from steklov_lab.dbar import (
     solve_dbar,
     verify_area_energy,
 )
-from steklov_lab.surfaces import critical_catenoid, flat_disk
+from steklov_lab.spectral1d import interp_matrix
+from steklov_lab.surfaces import area_integral, critical_catenoid, flat_disk
 
 
 def test_manufactured_solution_round_trip():
@@ -170,6 +172,79 @@ def test_obstructed_component_raises(catenoid_space):
     assert abs(compatibility_integral(cat, xnu)) > 1.0
     with pytest.raises(Unsolvable):
         build_conformal_variation(cat, xnu)
+
+
+def _evaluate_reference(sol, t, theta):
+    """Per-point evaluation: a phase row exp(i n theta) for every point."""
+    t = np.asarray(t, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    bshape = np.broadcast(t, theta).shape
+    tf = np.broadcast_to(t, bshape).ravel()
+    hf = np.broadcast_to(theta, bshape).ravel()
+    uniq, inv = np.unique(tf, return_inverse=True)
+    modes_at = interp_matrix(sol.t_nodes, uniq) @ sol.modes
+    ntheta = sol.modes.shape[1]
+    freqs = np.fft.fftfreq(ntheta, d=1.0 / ntheta)
+    phases = np.exp(1j * hf[:, None] * freqs[None, :])
+    return np.sum(modes_at[inv] * phases, axis=1).reshape(bshape)
+
+
+def test_evaluate_matches_per_point_sum(catenoid_space):
+    cat, cfs = catenoid_space
+    sol = build_conformal_variation(cat, cfs.kernel_psi(0)).solution
+    rng = np.random.default_rng(5)
+    t_open, th_open = cat.mesh()
+    points = {
+        "open mesh": (t_open, th_open),
+        "full meshgrid": tuple(np.broadcast_arrays(t_open, th_open)),
+        "scattered": (rng.uniform(-cat.T, cat.T, 4096), rng.uniform(0.0, 2 * math.pi, 4096)),
+        "0-d": (np.float64(0.3), np.float64(1.2)),
+    }
+    for name, (t, th) in points.items():
+        ref = _evaluate_reference(sol, t, th)
+        got = sol.evaluate(t, th)
+        assert got.shape == ref.shape, name
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref)), name
+
+
+def _kernel_reference(constraint):
+    """Complement of the constraint row from eigh(I - u u^T), eigenvalues > 1/2."""
+    unit = constraint / np.linalg.norm(constraint)
+    evals, vecs = np.linalg.eigh(np.eye(len(unit)) - np.outer(unit, unit))
+    return vecs[:, evals > 0.5]
+
+
+def test_candidate_table_matches_per_candidate_integrals(catenoid_space):
+    cat, cfs = catenoid_space
+    compat = np.array([compatibility_integral(cat, p) for p in cfs.psis])
+    row = np.linalg.norm(compat)
+    assert np.max(np.abs(cfs.constraint - compat)) <= 1e-12 * row
+
+    def raw(t, th):
+        nu = cat.unit_normal(t, th)
+        return [nu[..., 0], nu[..., 1], nu[..., 2], np.sum(cat.phi(t, th) * nu, axis=-1)]
+
+    grids = [np.broadcast_to(g, cat.grid) for g in raw(*cat.mesh())]
+    gram = np.array([[area_integral(cat, a * b) for b in grids] for a in grids])
+    assert np.max(np.abs(cfs.gram - gram)) <= 1e-12 * np.max(np.abs(gram))
+
+    K, ref = cfs.kernel, _kernel_reference(cfs.constraint)
+    assert np.max(np.abs(K @ K.T - ref @ ref.T)) <= 1e-12
+    assert np.max(np.abs(K.T @ K - np.eye(3))) <= 1e-14
+    # u is close to e_4 (x.nu), so the kernel columns are close to nu1, nu2, nu3
+    assert np.max(np.abs(K - np.eye(4)[:, :3])) <= 1e-12
+
+
+def test_kernel_basis_moves_with_the_constraint(catenoid_space):
+    _, cfs = catenoid_space
+    u = cfs.constraint / np.linalg.norm(cfs.constraint)
+    rng = np.random.default_rng(9)
+    for _ in range(20):
+        du = 6e-13 * rng.normal(size=4)
+        v = (u + du) / np.linalg.norm(u + du)
+        K, Kv = _complement(u), _complement(v)
+        assert np.max(np.abs(Kv.T @ v)) <= 1e-15
+        assert np.max(np.abs(K - Kv)) <= 1e-11
 
 
 def test_flat_disk_space():

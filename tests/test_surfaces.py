@@ -105,6 +105,41 @@ def test_normal_part_accepts_closures(catenoid):
     assert np.max(np.abs(W1(tt, hh) - W2(tt, hh))) < 1e-14
 
 
+def _open_equals_full(surface, form, F):
+    """form(surface, F) on the open mesh equals it with F called on the full grid."""
+    def full(t, h):
+        return F(*np.broadcast_arrays(np.asarray(t, float), np.asarray(h, float)))
+
+    return form(surface, F) == pytest.approx(form(surface, full), rel=1e-14)
+
+
+def _energy(surface, F):
+    return energy_form_Q(surface, F, F)
+
+
+def test_theta_independent_fields_fill_the_grid(catenoid):
+    T = catenoid.T
+    e3 = np.array([0.0, 0.0, 1.0])
+
+    def bump(t, h):  # ignores theta, so it is one column on the open mesh
+        return (1.0 - np.asarray(t) ** 2 / T**2)[..., None] * e3
+
+    assert bump(*catenoid.mesh()).shape == (catenoid.grid[0], 1, 3)
+    assert catenoid.sample(bump).shape == catenoid.grid + (3,)
+    # the full-meshgrid value; summing a (nt, 1) sample would lose the factor ntheta
+    q = energy_form_Q(catenoid, bump, bump)
+    assert abs(q - 13.966374207967753) <= 1e-13 * 13.966374207967753
+    assert _open_equals_full(catenoid, _energy, bump)
+    assert _open_equals_full(catenoid, field_norm_sq_integral, bump)
+    W = normal_part(catenoid, e3)
+    assert _open_equals_full(catenoid, index_form_S, W)
+    assert _open_equals_full(catenoid, field_norm_sq_integral, W)
+    # on the flat disk e3 is normal, so a theta-independent multiple is a normal field
+    disk = flat_disk()
+    g = VariationField(lambda t, h: (np.asarray(t) / disk.T)[..., None] ** 2 * e3, kind="normal")
+    assert _open_equals_full(disk, index_form_S, g)
+
+
 def test_rotation_field_is_energy_null(catenoid):
     rot = VariationField(lambda t, h: catenoid.phi_theta(t, h), kind="tangent_sphere")
     q = energy_form_Q(catenoid, rot, rot)

@@ -31,7 +31,14 @@ from .closedform import (
     critical_sigma1L,
     moebius_spectrum,
 )
-from .dbar import SOLVABILITY_TOL, Unsolvable, cylinder_problem, dbar_residual, solve_dbar
+from .dbar import (
+    SOLVABILITY_TOL,
+    BoundarySystemSingular,
+    Unsolvable,
+    cylinder_problem,
+    dbar_residual,
+    solve_dbar,
+)
 from .domain import BoundaryDensity, CircleDomain, DomainError, Hole
 from .dtn import (
     CLUSTER_TOL,
@@ -163,6 +170,8 @@ def _domain_from(args) -> CircleDomain:
 
 
 def _cmd_spectrum(args) -> tuple[RunManifest, None]:
+    if args.eigs < 1:
+        raise BadFlag(f"--eigs must be at least 1, got {args.eigs}")
     man = RunManifest(
         "spectrum",
         {
@@ -365,6 +374,9 @@ def _cmd_dbar_demo(args) -> tuple[RunManifest, None]:
 
 
 def _cmd_export_obj(args) -> tuple[RunManifest, None]:
+    if args.nt < 2 or args.ntheta < 3:
+        raise BadFlag(f"--nt must be at least 2 and --ntheta at least 3, "
+                      f"got {args.nt} and {args.ntheta}")
     man = RunManifest(
         "export-obj",
         {"which": args.which, "nt": args.nt, "ntheta": args.ntheta, "out": args.out},
@@ -475,6 +487,7 @@ def dispatch(argv) -> int:
         MassMatrixDegenerate,
         BudgetExhausted,
         Unsolvable,
+        BoundarySystemSingular,
         np.linalg.LinAlgError,
         FloatingPointError,
     ) as exc:

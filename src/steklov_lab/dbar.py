@@ -2,13 +2,15 @@
 
 Solves df/dz-bar = k on [-T, T] x S^1 with the boundary condition Re f = 0 on
 both ends, where z = t + i*theta and df/dz-bar = (f_t + i f_theta)/2.  After a
-Fourier transform in theta the modes decouple into pairs (n, -n) of first
-order ODEs coupled only through the boundary condition; each pair is solved by
-global polynomial collocation on a Legendre-Gauss-Lobatto grid with the
-particular solution anchored at the end where the homogeneous solution decays,
-plus a 2x2 complex boundary system for the homogeneous amplitudes.  The
-problem is solvable iff the double integral of Re k vanishes; the kernel is
-the pure imaginary constants, removed by a zero-mean gauge on Im f.
+Fourier transform in theta the modes decouple into first order ODEs
+f_n' - n f_n = 2 k_n, coupled in pairs (n, -n) only through the boundary
+condition.  Each mode takes one real global polynomial collocation solve on a
+Legendre-Gauss-Lobatto grid, its real and imaginary parts as two right-hand
+sides, with the particular solution anchored at the end from which the
+homogeneous solution exp(n t) decays; the 2x2 complex boundary systems of all
+pairs then give the homogeneous amplitudes at once.  The problem is solvable
+iff the double integral of Re k vanishes; the kernel is the pure imaginary
+constants, removed by a zero-mean gauge on Im f.
 
 The second half of the module applies the solver: given a scalar field psi on
 an annulus-type free boundary minimal surface whose compatibility integral
@@ -65,8 +67,19 @@ class DbarProblem:
             raise ValueError("right-hand side must be finite")
         if self.symmetry not in ("none", "moebius_odd"):
             raise ValueError(f"unknown symmetry {self.symmetry!r}")
+        if (self.t_nodes is None) != (self.t_weights is None):
+            raise ValueError("give both t_nodes and t_weights, or neither")
         if self.t_nodes is None:
             self.t_nodes, self.t_weights = lobatto(nt, -self.T, self.T)
+        t = self.t_nodes = np.asarray(self.t_nodes, dtype=float)
+        self.t_weights = np.asarray(self.t_weights, dtype=float)
+        if t.shape != (nt,) or self.t_weights.shape != (nt,):
+            raise ValueError(f"t_nodes and t_weights must have length nt = {nt}")
+        tol = 1e-12 * self.T
+        if abs(t[0] + self.T) > tol or abs(t[-1] - self.T) > tol:
+            raise ValueError("collocation grid must run from -T to T")
+        if not np.allclose(t, -t[::-1], rtol=0.0, atol=tol):
+            raise ValueError("collocation grid must be symmetric about t = 0")
 
     @property
     def thetas(self) -> np.ndarray:
@@ -75,11 +88,15 @@ class DbarProblem:
 
 
 def cylinder_problem(T, rhs, nt=128, ntheta=128, symmetry="none") -> DbarProblem:
-    """Build a DbarProblem by sampling a closure rhs(t, theta) on the grid."""
+    """Build a DbarProblem by sampling a closure rhs(t, theta) on the grid.
+
+    rhs sees the open grid (t a column, theta a row); the result is broadcast
+    to (nt, ntheta), so a closure that ignores theta still fills the grid.
+    """
     t, w = lobatto(nt, -T, T)
     th = 2.0 * math.pi * np.arange(ntheta) / ntheta
-    tt, hh = np.meshgrid(t, th, indexing="ij")
-    k = np.asarray(rhs(tt, hh), dtype=complex)
+    k = np.empty((nt, ntheta), dtype=complex)
+    k[...] = rhs(t[:, None], th[None, :])
     return DbarProblem(T=T, rhs=k, symmetry=symmetry, t_nodes=t, t_weights=w)
 
 
@@ -136,16 +153,16 @@ def dbar_residual(solution: DbarSolution, problem: DbarProblem) -> float:
 def solve_dbar(problem: DbarProblem) -> DbarSolution:
     """Solve the cylinder d-bar problem; see the module docstring.
 
-    Raises Unsolvable when |integral of Re k| exceeds SOLVABILITY_TOL times
-    the L1 norm of k, and BoundarySystemSingular if a mode system degenerates
-    (cannot happen for T > 0; kept as a guard).
+    One real collocation solve per mode, anchored at the decaying end, then
+    the boundary amplitudes of all pairs (n, -n) at once.  Raises Unsolvable
+    when |integral of Re k| exceeds SOLVABILITY_TOL times the L1 norm of k,
+    and BoundarySystemSingular, before any solve, if a pair system is
+    resonant (T near 0).
     """
     T = problem.T
     t = problem.t_nodes
     w = problem.t_weights
     nt, ntheta = problem.rhs.shape
-    if not np.allclose(t, -t[::-1], atol=1e-12):
-        raise ValueError("collocation grid must be symmetric about t = 0")
 
     khat = np.fft.fft(problem.rhs, axis=1) / ntheta  # k_n(t_i)
     dtheta_mass = 2.0 * math.pi
@@ -159,62 +176,43 @@ def solve_dbar(problem: DbarProblem) -> DbarSolution:
             "the problem has no solution with Re f = 0 on the boundary"
         )
 
+    # boundary systems of the pairs (n, -n), 1 <= n < ntheta/2
+    n = np.arange(1, ntheta // 2)
+    # math.exp: numpy's vectorized exp may differ in the last bit, and q sets
+    # the reported conditioning
+    q = np.array([math.exp(-2.0 * m * T) for m in n])
+    det = 1.0 - q * q
+    resonant = n[np.abs(det) < 1e-14]
+    if resonant.size:
+        raise BoundarySystemSingular(f"mode pair n = {resonant[0]} is resonant")
+
+    # particular solutions; (Re, Im) of column j is g[:, j] and re_im[:, j]
     D = diff_matrix(t)
+    eye = np.eye(nt)
+    freqs = np.fft.fftfreq(ntheta, d=1.0 / ntheta)
+    g = 2.0 * khat.view(float).reshape(nt, ntheta, 2)
     fhat = np.zeros_like(khat)
-    worst_cond = 1.0
+    re_im = fhat.view(float).reshape(nt, ntheta, 2)
+    for j, fn in enumerate(freqs):
+        if j == ntheta // 2:
+            continue  # Nyquist column: no conjugate partner on the grid, left 0
+        anchor = -1 if fn > 0 else 0
+        A = D - fn * eye
+        A[anchor] = eye[anchor]
+        b = g[:, j].copy()
+        b[anchor] = 0.0
+        re_im[:, j] = np.linalg.solve(A, b)
 
-    # n = 0: f0' = 2 k0, Re f0(+-T) = 0, Im f0 gauged to zero mean
-    g0 = 2.0 * khat[:, 0]
-    A0 = D.copy()
-    A0[0] = 0.0
-    A0[0, 0] = 1.0
-    rhs_re = g0.real.copy()
-    rhs_re[0] = 0.0
-    p_re = np.linalg.solve(A0, rhs_re)
-    # distribute the (sub-tolerance) compatibility defect as a linear ramp
-    p_re -= p_re[-1] * (t + T) / (2.0 * T)
-    rhs_im = g0.imag.copy()
-    rhs_im[0] = 0.0
-    p_im = np.linalg.solve(A0, rhs_im)
-    p_im -= float(w @ p_im) / (2.0 * T)
-    fhat[:, 0] = p_re + 1j * p_im
+    # n = 0: Re f0(+-T) = 0 by a linear ramp carrying the (sub-tolerance)
+    # compatibility defect, Im f0 gauged to zero mean
+    re_im[:, 0, 0] -= re_im[-1, 0, 0] * (t + T) / (2.0 * T)
+    re_im[:, 0, 1] -= float(w @ re_im[:, 0, 1]) / (2.0 * T)
 
-    # paired modes n, -n for 1 <= n < ntheta/2
-    for n in range(1, ntheta // 2):
-        gp = 2.0 * khat[:, n]
-        gm = 2.0 * khat[:, ntheta - n]
-
-        # particular solutions anchored at the decaying end
-        Ap = (D - n * np.eye(nt)).astype(complex)
-        Ap[-1] = 0.0
-        Ap[-1, -1] = 1.0
-        bp = gp.copy()
-        bp[-1] = 0.0
-        pp = np.linalg.solve(Ap, bp)
-
-        Am = (D + n * np.eye(nt)).astype(complex)
-        Am[0] = 0.0
-        Am[0, 0] = 1.0
-        bm = gm.copy()
-        bm[0] = 0.0
-        pm = np.linalg.solve(Am, bm)
-
-        q = math.exp(-2.0 * n * T)
-        det = 1.0 - q * q
-        if abs(det) < 1e-14:
-            raise BoundarySystemSingular(f"mode pair n = {n} is resonant")
-        worst_cond = max(worst_cond, (1.0 + q) / det)
-        r1 = -np.conj(pm[-1])  # boundary condition at t = +T
-        r2 = -pp[0]  # boundary condition at t = -T
-        A = (r1 - q * r2) / det
-        B = (r2 - q * r1) / det
-
-        fhat[:, n] = pp + A * np.exp(n * (t - T))
-        fhat[:, ntheta - n] = pm + np.conj(B) * np.exp(-n * (t + T))
-
-    # Nyquist column has no conjugate partner on the grid; truncate and report
-    tail = float(np.max(np.abs(khat[:, ntheta // 2])))
-    fhat[:, ntheta // 2] = 0.0
+    # homogeneous parts A exp(n (t - T)) on +n and conj(B) exp(-n (t + T)) on -n
+    r1 = -np.conj(fhat[-1, ntheta - n])  # boundary condition at t = +T
+    r2 = -fhat[0, n]  # boundary condition at t = -T
+    fhat[:, n] += (r1 - q * r2) / det * np.exp(n * (t[:, None] - T))
+    fhat[:, ntheta - n] += np.conj((r2 - q * r1) / det) * np.exp(-n * (t[:, None] + T))
 
     defect = 0.0
     if problem.symmetry == "moebius_odd":
@@ -233,8 +231,8 @@ def solve_dbar(problem: DbarProblem) -> DbarSolution:
         T=T, t_nodes=t, thetas=problem.thetas,
         values=values, modes=fhat,
         solvability_residual=abs(integral_re_k),
-        tail_truncation=tail,
-        conditioning=worst_cond,
+        tail_truncation=float(np.max(np.abs(khat[:, ntheta // 2]))),
+        conditioning=float(np.max((1.0 + q) / det, initial=1.0)),
         symmetry=problem.symmetry,
         symmetry_defect=defect,
     )

@@ -182,6 +182,12 @@ def test_bad_flags(workdir):
                          "--out", "x.json"]) == 64
     assert cli.dispatch(["surface", "verify", "--which", "flat-disk",
                          "--grid", "64", "--out", "x.json"]) == 64
+    assert cli.dispatch(["spectrum", "--disk", "--eigs", "0", "--out", "x.json"]) == 64
+    assert cli.dispatch(["export-obj", "--which", "flat-disk", "--nt", "1",
+                         "--out", "x.obj"]) == 64
+    assert cli.dispatch(["export-obj", "--which", "flat-disk", "--ntheta", "2",
+                         "--out", "x.obj"]) == 64
+    assert not (workdir / "x.json").exists() and not (workdir / "x.obj").exists()
 
 
 def test_invalid_domain_exits_2(workdir):
@@ -201,6 +207,14 @@ def test_numerical_failure_exits_3(workdir, monkeypatch):
         rc = cli.dispatch(["spectrum", "--disk", "--out", "x.json"])
         assert rc == 3
         assert read_log(workdir) == []
+
+
+def test_resonant_dbar_demo_exits_3(workdir):
+    rc = cli.dispatch(["dbar", "demo", "--T", "1e-16", "--nt", "16", "--ntheta", "8",
+                       "--out", "d.json"])
+    assert rc == 3
+    assert not (workdir / "d.json").exists()
+    assert read_log(workdir) == []
 
 
 def test_version_flag(workdir):

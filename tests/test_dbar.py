@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from steklov_lab.dbar import (
+    SOLVABILITY_TOL,
+    BoundarySystemSingular,
     DbarProblem,
+    DbarSolution,
     Unsolvable,
     _complement,
     build_conformal_variation,
@@ -16,7 +19,7 @@ from steklov_lab.dbar import (
     solve_dbar,
     verify_area_energy,
 )
-from steklov_lab.spectral1d import interp_matrix
+from steklov_lab.spectral1d import diff_matrix, interp_matrix, lobatto
 from steklov_lab.surfaces import area_integral, critical_catenoid, flat_disk
 
 
@@ -117,6 +120,31 @@ def test_problem_validation():
         DbarProblem(T=1.0, rhs=bad)
     with pytest.raises(ValueError):
         DbarProblem(T=1.0, rhs=np.zeros((8, 8), dtype=complex), symmetry="even")
+    # the collocation grid, when given, must be a full symmetric grid on [-T, T]
+    rhs = np.zeros((32, 8), dtype=complex)
+    t, w = lobatto(32, -1.1, 1.1)
+    DbarProblem(T=1.1, rhs=rhs, t_nodes=t, t_weights=w)
+    with pytest.raises(ValueError, match="both"):
+        DbarProblem(T=1.1, rhs=rhs, t_nodes=t)
+    t16, w16 = lobatto(16, -1.1, 1.1)
+    with pytest.raises(ValueError, match="length"):
+        DbarProblem(T=1.1, rhs=rhs, t_nodes=t16, t_weights=w16)
+    with pytest.raises(ValueError, match="from -T to T"):
+        DbarProblem(T=1.1, rhs=rhs, t_nodes=lobatto(32, -1.0, 1.0)[0], t_weights=w)
+    moved = t.copy()
+    moved[5] += 5e-6
+    with pytest.raises(ValueError, match="symmetric"):
+        DbarProblem(T=1.1, rhs=rhs, t_nodes=moved, t_weights=w)
+
+
+def test_cylinder_problem_broadcasts_t_only_closure():
+    # the closure ignores theta, as the CLI's unsolvable demo does
+    prob = cylinder_problem(0.7, lambda t, th: np.ones_like(t, dtype=complex) * (1.0 + t),
+                            nt=16, ntheta=8)
+    tt, _ = np.meshgrid(prob.t_nodes, prob.thetas, indexing="ij")
+    assert prob.rhs.shape == (16, 8)
+    assert prob.rhs.flags.writeable
+    assert np.array_equal(prob.rhs, (1.0 + tt).astype(complex))
 
 
 def test_dbar_apply_on_holomorphic():
@@ -252,3 +280,113 @@ def test_flat_disk_space():
     assert cfs.dim_C == 1
     assert cfs.dim_C1 == 1
     assert np.max(np.abs(cfs.constraint)) < 1e-12
+
+
+def _solve_dbar_reference(problem):
+    """Per-mode solves: real n = 0, complex +n and -n, one 2x2 system per pair."""
+    T = problem.T
+    t = problem.t_nodes
+    w = problem.t_weights
+    nt, ntheta = problem.rhs.shape
+
+    khat = np.fft.fft(problem.rhs, axis=1) / ntheta
+    dtheta_mass = 2.0 * math.pi
+    integral_re_k = dtheta_mass * float(w @ khat[:, 0].real)
+    l1 = dtheta_mass / ntheta * float(np.sum(w @ np.abs(problem.rhs)))
+    if abs(integral_re_k) > SOLVABILITY_TOL * max(l1, 1e-300):
+        raise Unsolvable("mean of Re k")
+
+    D = diff_matrix(t)
+    fhat = np.zeros_like(khat)
+    worst_cond = 1.0
+
+    g0 = 2.0 * khat[:, 0]
+    A0 = D.copy()
+    A0[0] = 0.0
+    A0[0, 0] = 1.0
+    rhs_re = g0.real.copy()
+    rhs_re[0] = 0.0
+    p_re = np.linalg.solve(A0, rhs_re)
+    p_re -= p_re[-1] * (t + T) / (2.0 * T)
+    rhs_im = g0.imag.copy()
+    rhs_im[0] = 0.0
+    p_im = np.linalg.solve(A0, rhs_im)
+    p_im -= float(w @ p_im) / (2.0 * T)
+    fhat[:, 0] = p_re + 1j * p_im
+
+    for n in range(1, ntheta // 2):
+        gp = 2.0 * khat[:, n]
+        gm = 2.0 * khat[:, ntheta - n]
+        Ap = (D - n * np.eye(nt)).astype(complex)
+        Ap[-1] = 0.0
+        Ap[-1, -1] = 1.0
+        bp = gp.copy()
+        bp[-1] = 0.0
+        pp = np.linalg.solve(Ap, bp)
+        Am = (D + n * np.eye(nt)).astype(complex)
+        Am[0] = 0.0
+        Am[0, 0] = 1.0
+        bm = gm.copy()
+        bm[0] = 0.0
+        pm = np.linalg.solve(Am, bm)
+
+        q = math.exp(-2.0 * n * T)
+        det = 1.0 - q * q
+        if abs(det) < 1e-14:
+            raise BoundarySystemSingular(f"mode pair n = {n} is resonant")
+        worst_cond = max(worst_cond, (1.0 + q) / det)
+        r1 = -np.conj(pm[-1])
+        r2 = -pp[0]
+        A = (r1 - q * r2) / det
+        B = (r2 - q * r1) / det
+        fhat[:, n] = pp + A * np.exp(n * (t - T))
+        fhat[:, ntheta - n] = pm + np.conj(B) * np.exp(-n * (t + T))
+
+    tail = float(np.max(np.abs(khat[:, ntheta // 2])))
+    fhat[:, ntheta // 2] = 0.0
+
+    defect = 0.0
+    if problem.symmetry == "moebius_odd":
+        signs = np.where(np.arange(ntheta) % 2 == 0, 1.0, -1.0)
+        partner = np.conj(fhat[::-1, (-np.arange(ntheta)) % ntheta])
+        projected = 0.5 * (fhat - signs[None, :] * partner)
+        defect = float(np.max(np.abs(projected - fhat)))
+        fhat = projected
+        fhat[:, 0] -= 1j * float(w @ fhat[:, 0].imag) / (2.0 * T)
+
+    values = np.fft.ifft(fhat, axis=1) * ntheta
+    return DbarSolution(
+        T=T, t_nodes=t, thetas=problem.thetas, values=values, modes=fhat,
+        solvability_residual=abs(integral_re_k), tail_truncation=tail,
+        conditioning=worst_cond, symmetry=problem.symmetry, symmetry_defect=defect,
+    )
+
+
+@pytest.mark.parametrize("nt", [8, 64, 128])
+@pytest.mark.parametrize("ntheta", [2, 4, 16, 128])
+@pytest.mark.parametrize("symmetry", ["none", "moebius_odd"])
+def test_mode_loop_matches_per_pair_solves(nt, ntheta, symmetry):
+    rng = np.random.default_rng(1000 * nt + ntheta + (symmetry == "none"))
+    T = rng.uniform(0.2, 2.0)
+    t, w = lobatto(nt, -T, T)
+    k = rng.normal(size=(nt, ntheta)) + 1j * rng.normal(size=(nt, ntheta))
+    k -= float(w @ k.real.mean(axis=1)) / (2.0 * T)  # remove the obstruction
+    prob = DbarProblem(T=T, rhs=k, symmetry=symmetry, t_nodes=t, t_weights=w)
+    ref, got = _solve_dbar_reference(prob), solve_dbar(prob)
+    for name in ("values", "modes"):
+        a, b = getattr(got, name), getattr(ref, name)
+        assert np.max(np.abs(a - b)) <= 1e-11 * np.max(np.abs(b)), name
+    assert got.conditioning == ref.conditioning
+    assert got.tail_truncation == ref.tail_truncation
+    assert got.solvability_residual == ref.solvability_residual
+    assert abs(got.symmetry_defect - ref.symmetry_defect) <= 1e-12
+
+
+def test_conditioning_is_the_n1_pair_formula():
+    # the n = 1 pair is the worst conditioned; its q comes from libm exp, so the
+    # reported figure does not depend on numpy's vectorized exp
+    rng = np.random.default_rng(4)
+    for T in rng.uniform(0.2, 2.0, 200):
+        sol = solve_dbar(cylinder_problem(T, lambda t, th: t * np.exp(1j * th), nt=8, ntheta=4))
+        q = math.exp(-2.0 * T)
+        assert sol.conditioning == (1.0 + q) / (1.0 - q * q)

@@ -8,8 +8,11 @@ Scaling the hole terms by ``r_j^m`` keeps every trace O(1) on its own circle.
 The stiffness matrix is assembled as the boundary integral
 ``A_ij = cint phi_i  d(phi_j)/d(eta) ds`` which equals the Dirichlet energy
 pairing exactly for harmonic functions (Green); the mass matrix and weighted
-mean vector come from the same per-circle trapezoid quadrature, which is
-spectrally accurate for these analytic integrands.
+mean vector come from the same trapezoid quadrature on every circle, which
+is spectrally accurate for these analytic integrands.  All k circles are
+evaluated in one call and cached as one (size, k, n_quad) trace table and
+one normal-derivative table, so each matrix is one product over the k * n_quad
+flattened boundary nodes.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ class HarmonicBasis:
                 elements.append(("hole", j, m, 0))
                 elements.append(("hole", j, m, 1))
         self.elements = elements
-        self._boundary_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._boundary_tables: tuple[np.ndarray, np.ndarray] | None = None
         self._dirichlet: np.ndarray | None = None
 
     @property
@@ -73,19 +76,10 @@ class HarmonicBasis:
     def thetas(self) -> np.ndarray:
         return 2.0 * math.pi * np.arange(self.n_quad) / self.n_quad
 
-    def circle_points(self, j: int) -> np.ndarray:
-        c = self.domain.component_center(j)
-        rho = self.domain.component_radius(j)
-        return c + rho * np.exp(1j * self.thetas())
-
-    def circle_normals(self, j: int) -> np.ndarray:
-        """Outward unit normal of the domain as a complex number per node."""
-        nu = np.exp(1j * self.thetas())
-        return nu if j == 0 else -nu
-
-    def ds_weight(self, j: int) -> float:
-        """Arclength weight per node on circle j."""
-        return self.domain.component_radius(j) * 2.0 * math.pi / self.n_quad
+    def circle_points(self) -> np.ndarray:
+        """Quadrature nodes of every boundary circle, (k, n_quad) complex."""
+        c = np.array([0j] + [h.center for h in self.domain.holes])[:, None]
+        return c + self.domain.radii()[:, None] * np.exp(1j * self.thetas())
 
     # -- pointwise evaluation -------------------------------------------------
 
@@ -141,25 +135,29 @@ class HarmonicBasis:
         """Wirtinger d/dz of each element, shape (size, npts) complex."""
         return self._holomorphic_parts(z, values=False)[1]
 
-    # -- cached boundary data -------------------------------------------------
+    # -- cached boundary tables ------------------------------------------------
 
-    def _boundary(self, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """(traces, normal derivatives) on circle j's nodes, evaluated once."""
-        if j not in self._boundary_cache:
-            vals, dz = self._holomorphic_parts(self.circle_points(j))
+    def _boundary(self) -> tuple[np.ndarray, np.ndarray]:
+        """(traces, normal derivatives) on all k circles, one call, evaluated once."""
+        if self._boundary_tables is None:
+            vals, dz = self._holomorphic_parts(self.circle_points())
+            shape = (self.size, self.domain.k, self.n_quad)
+            # outward domain normal: e^(i theta) on the unit circle, minus that on holes
+            sign = np.where(np.arange(self.domain.k) == 0, 1.0, -1.0)
+            dz = dz.reshape(shape)
             # for u = Re F: du/d(eta) = Re(F' * eta); dz holds F'/2 (or the
             # rotated variant for Im parts), and the same algebra applies
-            dz *= self.circle_normals(j)
-            self._boundary_cache[j] = (vals, 2.0 * dz.real)
-        return self._boundary_cache[j]
+            dz *= sign[:, None] * np.exp(1j * self.thetas())
+            self._boundary_tables = (vals.reshape(shape), 2.0 * dz.real)
+        return self._boundary_tables
 
-    def traces(self, j: int) -> np.ndarray:
-        """Values of every element on circle j's quadrature nodes, (size, n_quad)."""
-        return self._boundary(j)[0]
+    def traces(self) -> np.ndarray:
+        """Every element on every circle's quadrature nodes, (size, k, n_quad)."""
+        return self._boundary()[0]
 
-    def normal_derivatives(self, j: int) -> np.ndarray:
-        """d(element)/d(eta) on circle j's nodes, eta the outward domain normal."""
-        return self._boundary(j)[1]
+    def normal_derivatives(self) -> np.ndarray:
+        """d(element)/d(eta) on the same nodes, eta the outward domain normal."""
+        return self._boundary()[1]
 
 
 @dataclass(frozen=True)
@@ -180,11 +178,10 @@ def dirichlet_matrix(basis: HarmonicBasis) -> np.ndarray:
     if basis._dirichlet is not None:
         return basis._dirichlet
     n = basis.size
-    A = np.zeros((n, n))
-    for j in range(basis.domain.k):
-        P = basis.traces(j)
-        D = basis.normal_derivatives(j)
-        A += basis.ds_weight(j) * (P @ D.T)
+    ds = basis.domain.radii() * (2.0 * math.pi / basis.n_quad)  # arclength per node
+    P = basis.traces().reshape(n, -1)
+    D = (basis.normal_derivatives() * ds[:, None]).reshape(n, -1)
+    A = P @ D.T
     basis._dirichlet = 0.5 * (A + A.T)
     return basis._dirichlet
 
@@ -195,17 +192,11 @@ def boundary_matrices(
     """A, B, m for the weighted Steklov eigensystem A x = sigma B x.
 
     ``samples`` must sit on the basis quadrature grid (``basis.n_quad``
-    points per circle); ``domain.as_samples`` puts any weight there.
+    points per circle); ``domain.as_samples`` puts any weight there.  The
+    measure d(mu) = lambda ds is the table itself times 2 pi / n_quad.
     """
-    n = basis.size
-    A = dirichlet_matrix(basis)
-    B = np.zeros((n, n))
-    mvec = np.zeros(n)
-    for j in range(basis.domain.k):
-        P = basis.traces(j)
-        lam = samples.density_values(j)
-        w = lam * basis.ds_weight(j)
-        B += (P * w[None, :]) @ P.T
-        mvec += P @ w
+    P = basis.traces().reshape(basis.size, -1)
+    w = samples.values.reshape(-1) * (2.0 * math.pi / basis.n_quad)
+    B = (P * w) @ P.T
     B = 0.5 * (B + B.T)
-    return EigenSystemMatrices(A=A, B=B, m=mvec)
+    return EigenSystemMatrices(A=dirichlet_matrix(basis), B=B, m=P @ w)

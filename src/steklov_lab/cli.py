@@ -3,13 +3,15 @@
 Commands: spectrum, closedform, maximize, sweep, surface verify, dbar demo,
 export-obj.  Every run appends its manifest to runs.jsonl in the working
 directory; every output file embeds the manifest hash so results can be traced
-back to the exact invocation.  Outputs are deterministic: the same manifest
-produces byte-identical files on the same machine and BLAS library.  BLAS
-runs on one thread unless OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or
-OMP_NUM_THREADS is set; the thread count can move the last digits of
-eigenvalues, so the manifest hash records it (k=2 of ``sweep --k 2,3
---budget 20`` is 6.571530106711561 with one thread, 6.571530106711559 with
-OPENBLAS_NUM_THREADS=2, under different hashes).
+back to the exact invocation.  The hash covers the package version but not
+the source, so it identifies an invocation of one code version.  Outputs are
+deterministic: with the same code, the same manifest produces byte-identical
+files on the same machine and BLAS library.  BLAS runs on one thread unless
+OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS is set; the thread
+count can move the last digits of eigenvalues, so the manifest hash records
+it (k=2 of ``sweep --k 2,3 --budget 20`` is 6.571530106711585 with one
+thread, 6.571530106711584 with OPENBLAS_NUM_THREADS=2, under different
+hashes).
 """
 
 from __future__ import annotations

@@ -5,9 +5,11 @@ removed; its boundary has ``k`` circle components indexed 0 (outer unit
 circle) then the holes in order.  Boundary weights are given either as a
 truncated Fourier series of ``log(lambda)`` per component (``BoundaryDensity``)
 or as equispaced samples of the measure density ``lambda * rho`` with respect
-to the angle variable (``BoundaryMeasureSamples``); ``as_samples`` turns
-either into samples, the one form the computations read.  Heat smoothing acts
-on a measure as the exact Fourier multiplier of the circle heat kernel.
+to the angle variable (``BoundaryMeasureSamples``: one (k, n) table, a row
+per circle on one shared power-of-two grid, and a (k,) array of radii);
+``as_samples`` turns either into that table, the one form the computations
+read.  Heat smoothing acts on the whole table as the exact Fourier multiplier
+of the circle heat kernel, one FFT along the rows.
 """
 
 from __future__ import annotations
@@ -134,39 +136,44 @@ class BoundaryDensity:
 
 @dataclass(frozen=True)
 class BoundaryMeasureSamples:
-    """Equispaced samples of the measure density d(mu)/d(theta) per component.
+    """Equispaced samples of the measure density d(mu)/d(theta), one row per circle.
 
-    values[j][i] = lambda(theta_i) * rho_j at theta_i = 2*pi*i/N_j; every N_j
-    is a power of two.  radii[j] is the euclidean radius of the circle, needed
-    to convert back to lambda and to set the physical smoothing scale.
+    ``values`` is a (k, n) table with values[j, i] = lambda(theta_i) * rho_j
+    at theta_i = 2*pi*i/n; every circle shares the one power-of-two n.
+    ``radii`` is the (k,) array of euclidean circle radii, needed to convert
+    back to lambda and to set the physical smoothing scale.  Any sequence of
+    equal-length rows is accepted and stacked.
     """
 
-    values: tuple[np.ndarray, ...]
-    radii: tuple[float, ...]
+    values: np.ndarray
+    radii: np.ndarray
 
     def __post_init__(self):
-        if len(self.values) != len(self.radii):
-            raise ValueError("values and radii must align")
-        for v in self.values:
-            n = len(v)
-            if n < 4 or (n & (n - 1)) != 0:
-                raise ValueError("grid sizes must be powers of two (>= 4)")
+        shapes = [np.shape(v) for v in self.values]
+        if len(set(shapes)) > 1:
+            raise ValueError(f"ragged rows: every circle needs one sample count, got {shapes}")
+        values = np.array(self.values, dtype=float)
+        radii = np.array(self.radii, dtype=float)
+        if values.ndim != 2 or radii.shape != values.shape[:1]:
+            raise ValueError("values and radii must align as (k, n) and (k,)")
+        n = values.shape[1]
+        if n < 4 or (n & (n - 1)) != 0:
+            raise ValueError("grid sizes must be powers of two (>= 4)")
+        values.flags.writeable = radii.flags.writeable = False
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "radii", radii)
 
     @property
     def k(self) -> int:
-        return len(self.values)
+        return self.values.shape[0]
 
-    def thetas(self, j: int) -> np.ndarray:
-        n = len(self.values[j])
-        return 2.0 * math.pi * np.arange(n) / n
-
-    def mass(self, j: int) -> float:
-        """Total measure of component j (periodic trapezoid, exact for trig polys)."""
-        v = self.values[j]
-        return 2.0 * math.pi * float(np.mean(v))
+    @property
+    def n(self) -> int:
+        return self.values.shape[1]
 
     def total_mass(self) -> float:
-        return sum(self.mass(j) for j in range(self.k))
+        """Total measure (periodic trapezoid, exact for trig polys)."""
+        return float(np.sum(2.0 * math.pi * np.mean(self.values, axis=1)))
 
     def density_values(self, j: int, thetas: np.ndarray | None = None) -> np.ndarray:
         """lambda on component j, resampled by trigonometric interpolation if needed."""
@@ -174,11 +181,6 @@ class BoundaryMeasureSamples:
         if thetas is None:
             return lam
         return _trig_resample(lam, np.asarray(thetas, dtype=float))
-
-    def scaled(self, factor: float) -> "BoundaryMeasureSamples":
-        return BoundaryMeasureSamples(
-            tuple(v * factor for v in self.values), self.radii
-        )
 
 
 def _trig_resample(vals: np.ndarray, thetas: np.ndarray) -> np.ndarray:
@@ -198,7 +200,7 @@ def _trig_resample(vals: np.ndarray, thetas: np.ndarray) -> np.ndarray:
 
 
 def as_samples(domain: CircleDomain, density, n: int = 256) -> BoundaryMeasureSamples:
-    """Either boundary weight as samples of lambda * rho on an n-point grid per circle.
+    """Either boundary weight as a (k, n) table of lambda * rho samples.
 
     Samples already on an n-point grid are returned as they are; samples on
     another grid are resampled by trigonometric interpolation, and a
@@ -208,38 +210,30 @@ def as_samples(domain: CircleDomain, density, n: int = 256) -> BoundaryMeasureSa
         raise ValueError("density has wrong number of components")
     th = 2.0 * math.pi * np.arange(n) / n
     if isinstance(density, BoundaryMeasureSamples):
-        if all(len(v) == n for v in density.values):
+        if density.n == n:
             return density
-        vals = tuple(
-            density.density_values(j, th) * density.radii[j]
-            for j in range(density.k)
-        )
-        return BoundaryMeasureSamples(vals, density.radii)
-    vals = tuple(
-        density.values(j, th) * domain.component_radius(j) for j in range(domain.k)
-    )
-    return BoundaryMeasureSamples(vals, tuple(domain.radii()))
+        lam = [density.density_values(j, th) for j in range(density.k)]
+        radii = density.radii
+    else:
+        lam = [density.values(j, th) for j in range(domain.k)]
+        radii = domain.radii()
+    return BoundaryMeasureSamples(np.array(lam) * radii[:, None], radii)
 
 
 def heat_smooth(samples: BoundaryMeasureSamples, eps: float) -> BoundaryMeasureSamples:
     """Heat-kernel smoothing of a boundary measure at time eps.
 
-    Acts per component as the exact multiplier exp(-(2 pi m / ell)^2 eps) on
-    the Fourier coefficients of the measure, where ell = 2 pi rho is the
-    euclidean circumference.  Mass is preserved exactly; eps = 0 is the
-    identity.
+    Acts on every row of the table as the exact multiplier
+    exp(-(2 pi m / ell_j)^2 eps) on the Fourier coefficients of the measure,
+    where ell_j = 2 pi rho_j is the euclidean circumference of circle j.  Mass
+    is preserved exactly; eps = 0 is the identity.
     """
     if eps < 0.0:
         raise ValueError("eps must be nonnegative")
-    out = []
-    for j in range(samples.k):
-        v = samples.values[j]
-        rho = samples.radii[j]
-        coeff = np.fft.rfft(v)
-        m = np.arange(len(coeff))
-        coeff *= np.exp(-((m / rho) ** 2) * eps)
-        out.append(np.fft.irfft(coeff, n=len(v)))
-    return BoundaryMeasureSamples(tuple(out), samples.radii)
+    coeff = np.fft.rfft(samples.values, axis=1)
+    m = np.arange(coeff.shape[1])
+    coeff *= np.exp(-((m / samples.radii[:, None]) ** 2) * eps)
+    return BoundaryMeasureSamples(np.fft.irfft(coeff, n=samples.n, axis=1), samples.radii)
 
 
 def normalize(samples: BoundaryMeasureSamples) -> BoundaryMeasureSamples:
@@ -247,4 +241,4 @@ def normalize(samples: BoundaryMeasureSamples) -> BoundaryMeasureSamples:
     L = samples.total_mass()
     if not (L > 0.0):
         raise DomainError("degenerate measure: nonpositive total mass")
-    return samples.scaled(1.0 / L)
+    return BoundaryMeasureSamples(samples.values * (1.0 / L), samples.radii)

@@ -127,25 +127,26 @@ class SweepEntry:
 # -- weight handling ----------------------------------------------------------
 
 
-def _mu_integral(samples: BoundaryMeasureSamples, funcs) -> float:
-    """Integral of a per-circle function list against the weighted measure."""
-    total = 0.0
-    for j, f in enumerate(funcs):
-        total += 2.0 * math.pi * float(np.mean(f * samples.values[j]))
-    return total
-
-
 def _weight_gradient(samples: BoundaryMeasureSamples, sq, sigma: float, L: float):
-    """Mean-zero first variation of sigma from per-circle squared eigenfunctions.
+    """Mean-zero first variation of sigma from squared eigenfunction traces.
 
-    ``sq`` holds u^2 per circle for a unit-norm eigenfunction u (or an average
-    of such squares over a cluster); the result is -sigma (u^2 - avg) less
-    its mean against the weighted measure of total mass L.
+    ``sq`` is a (..., k, n) stack of u^2 tables for unit-norm eigenfunctions
+    u (or averages of such squares over a cluster); each result is
+    -sigma (u^2 - avg) less its mean against the weighted measure of total
+    mass L.
     """
-    avg = _mu_integral(samples, sq) / L
-    g = [-sigma * (q - avg) for q in sq]
-    shift = _mu_integral(samples, g) / L
-    return [gj - shift for gj in g]
+    def mu(f):
+        """Integral of each (k, n) table against the measure, kept broadcastable."""
+        per_circle = 2.0 * math.pi * np.mean(f * samples.values, axis=-1)
+        return np.sum(per_circle, axis=-1)[..., None, None]
+
+    g = -sigma * (sq - mu(sq) / L)
+    return g - mu(g) / L
+
+
+def _boundary_traces(basis: HarmonicBasis, cols: np.ndarray) -> np.ndarray:
+    """Traces of the coefficient columns on every circle, (ncols, k, n_quad)."""
+    return np.tensordot(cols, basis.traces(), axes=(0, 0))
 
 
 def density_gradient(domain, density, coeffs, *, M: int = 16,
@@ -155,8 +156,9 @@ def density_gradient(domain, density, coeffs, *, M: int = 16,
 
     coeffs must describe an eigenfunction of the weighted problem to relative
     residual residual_tol; it is renormalized to unit weighted boundary L2
-    internally.  Returns one array per boundary circle, sampled on the same
-    uniform grid as the weight, with mean zero against the weighted measure.
+    internally.  Returns a (k, n) table, one row per boundary circle on the
+    same uniform grid as the weight, with mean zero against the weighted
+    measure.
     Stepping the log-weight along the returned function raises sigma_1 * L
     to first order.
     """
@@ -182,9 +184,8 @@ def density_gradient(domain, density, coeffs, *, M: int = 16,
             f"eigenproblem residual {resid:.2e} exceeds {residual_tol:.1e}"
         )
     x = x / math.sqrt(den)
-    L = samples.total_mass()
-    u = [x @ basis.traces(j) for j in range(domain.k)]
-    return tuple(_weight_gradient(samples, [uj**2 for uj in u], sigma, L))
+    u = _boundary_traces(basis, x)
+    return _weight_gradient(samples, u**2, sigma, samples.total_mass())
 
 
 # -- inner ascent -------------------------------------------------------------
@@ -205,18 +206,15 @@ def _cluster_directions(basis, samples, spec, near_width=1e-2):
     """
     sigma = spec.sigma1
     L = samples.total_mass()
-    k = samples.k
     tiny = GRAD_TOL * (1.0 + sigma)
 
     def averaged(cols):
-        us = [cols.T @ basis.traces(j) for j in range(k)]
-        sq = [np.mean(us[j] ** 2, axis=0) for j in range(k)]
-        g = _weight_gradient(samples, sq, sigma, L)
-        sup = max(float(np.max(np.abs(gj))) for gj in g)
-        return g, sup, us
+        sq = _boundary_traces(basis, cols) ** 2
+        g = _weight_gradient(samples, np.mean(sq, axis=0), sigma, L)
+        return g, float(np.max(np.abs(g))), sq
 
     strict = spec.eigenvectors[:, spec.cluster_of(1)]
-    g_strict, sup_strict, us = averaged(strict)
+    g_strict, sup_strict, sq = averaged(strict)
     if strict.shape[1] > 1 and sup_strict <= tiny:
         return []
     dirs = []
@@ -224,24 +222,19 @@ def _cluster_directions(basis, samples, spec, near_width=1e-2):
     if near.shape[1] > strict.shape[1]:
         g_near, sup_near, _ = averaged(near)
         if sup_near > tiny:
-            dirs.append(tuple(gj / sup_near for gj in g_near))
+            dirs.append(g_near / sup_near)
     if sup_strict > tiny:
-        dirs.append(tuple(gj / sup_strict for gj in g_strict))
+        dirs.append(g_strict / sup_strict)
     if strict.shape[1] > 1:
-        for i in range(strict.shape[1]):
-            gi = _weight_gradient(samples, [us[j][i] ** 2 for j in range(k)], sigma, L)
-            s = max(float(np.max(np.abs(gj))) for gj in gi)
-            if s > tiny:
-                dirs.append(tuple(gj / s for gj in gi))
+        gs = _weight_gradient(samples, sq, sigma, L)
+        sups = np.max(np.abs(gs), axis=(1, 2))
+        dirs += [g / s for g, s in zip(gs, sups) if s > tiny]
     return dirs
 
 
 def _step_candidate(samples, direction, s, eps):
     """Multiplicative step of size s, then smoothing and unit total mass."""
-    vals = tuple(
-        v * np.exp(s * d) for v, d in zip(samples.values, direction)
-    )
-    cand = BoundaryMeasureSamples(vals, samples.radii)
+    cand = BoundaryMeasureSamples(samples.values * np.exp(s * direction), samples.radii)
     return normalize(heat_smooth(cand, eps))
 
 
@@ -265,23 +258,11 @@ def _boundary_fit(basis, samples, cols, dzu=None):
     directions.
     """
     m = cols.shape[1]
-    pairs = [(a, b) for a in range(m) for b in range(a, m)]
-    rows = []
-    rhs = []
-    tracesU = []
-    for j in range(samples.k):
-        U = cols.T @ basis.traces(j)
-        tracesU.append(U)
-        w = samples.values[j] * (2.0 * math.pi / len(samples.values[j]))
-        sw = np.sqrt(w)
-        X = np.empty((U.shape[1], len(pairs)))
-        for p, (a, b) in enumerate(pairs):
-            fac = 1.0 if a == b else 2.0
-            X[:, p] = fac * U[a] * U[b]
-        rows.append(X * sw[:, None])
-        rhs.append(sw)
-    X = np.vstack(rows)
-    y = np.concatenate(rhs)
+    pa, pb = np.triu_indices(m)
+    fac = np.where(pa == pb, 1.0, 2.0)[:, None]
+    U = _boundary_traces(basis, cols).reshape(m, -1)
+    y = np.sqrt(samples.values.reshape(-1) * (2.0 * math.pi / samples.n))
+    X = (fac * U[pa] * U[pb]).T * y[:, None]
     Um, sv, Vt = np.linalg.svd(X, full_matrices=False)
     # the cut sits well above eigensolver roundoff: a weight that has been
     # ascended to an optimum carries O(1e-7) noise wiggles which would
@@ -289,12 +270,9 @@ def _boundary_fit(basis, samples, cols, dzu=None):
     # interior tie-break with nothing to decide
     rank = int(np.sum(sv > 1e-5 * sv[0])) if sv.size else 0
     c = Vt[:rank].T @ ((Um[:, :rank].T @ y) / sv[:rank])
-    if dzu is not None and rank < len(pairs):
+    if dzu is not None and rank < pa.size:
         null = Vt[rank:].T
-        Z = np.empty((dzu.shape[1], len(pairs)), dtype=complex)
-        for p, (a, b) in enumerate(pairs):
-            fac = 1.0 if a == b else 2.0
-            Z[:, p] = fac * dzu[a] * dzu[b]
+        Z = (fac * dzu[pa] * dzu[pb]).T
         ZN = Z @ null
         zc = Z @ c
         A2 = np.vstack([ZN.real, ZN.imag])
@@ -302,18 +280,13 @@ def _boundary_fit(basis, samples, cols, dzu=None):
         coef, *_ = np.linalg.lstsq(A2, b2, rcond=None)
         c = c + null @ coef
     C = np.zeros((m, m))
-    for p, (a, b) in enumerate(pairs):
-        C[a, b] = c[p]
-        C[b, a] = c[p]
+    C[pa, pb] = C[pb, pa] = c
     w, V = np.linalg.eigh(C)
     wc = np.clip(w, 0.0, None)
     C = (V * wc) @ V.T
     n_indep = int(np.sum(wc > 1e-8 * max(1.0, float(wc[-1]))))
-    resid = 0.0
-    for U in tracesU:
-        pred = np.einsum("ab,ax,bx->x", C, U, U)
-        resid = max(resid, float(np.max(np.abs(pred - 1.0))))
-    return C, resid, n_indep
+    pred = np.einsum("ab,ax,bx->x", C, U, U)
+    return C, float(np.max(np.abs(pred - 1.0))), n_indep
 
 
 def optimize_density(domain, init_density, eps_schedule=EPS_SCHEDULE,
@@ -583,12 +556,9 @@ def optimize_configuration(k: int, symmetry="cyclic", budget=6000, *,
     sym = _norm_symmetry(symmetry)
     bud = budget if isinstance(budget, EigensolveBudget) else EigensolveBudget(int(budget))
     used0 = bud.used
-    if sym == "cyclic":
-        x0 = [0.55, 0.25 / k]
-        steps = [-0.2, -0.04]
-    else:
-        x0 = [0.55, 0.25 / k]
-        steps = [-0.2, -0.04]
+    x0 = [0.55, 0.25 / k]
+    steps = [-0.2, -0.04]
+    if sym == "none":
         for j in range(1, k - 1):
             ang = 2.0 * math.pi * j / (k - 1)
             x0 += [0.55 * math.cos(ang), 0.55 * math.sin(ang), 0.25 / k]
@@ -660,18 +630,11 @@ def sweep_k(k_list, symmetry="cyclic", budget: int = 6000):
                 dom, BoundaryDensity.uniform(1),
                 budget=EigensolveBudget(budget),
             )
-            flags = []
-            if st.stalled:
-                flags.append("stalled")
-            if st.budget_exhausted:
-                flags.append("budget_exhausted")
-            out.append(SweepEntry(1, st.value, dom, st.density, flags))
-            continue
-        res = optimize_configuration(k, symmetry, budget)
-        flags = []
-        if res.state.stalled:
-            flags.append("stalled")
-        if res.budget_exhausted:
-            flags.append("budget_exhausted")
+            res = ConfigurationResult(dom, st.density, st.value, st,
+                                      st.eigensolves, st.budget_exhausted)
+        else:
+            res = optimize_configuration(k, symmetry, budget)
+        flags = [name for name, on in (("stalled", res.state.stalled),
+                                       ("budget_exhausted", res.budget_exhausted)) if on]
         out.append(SweepEntry(k, res.value, res.domain, res.density, flags))
     return out

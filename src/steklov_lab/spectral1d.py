@@ -8,6 +8,8 @@ is always handled by equispaced grids and FFTs.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 
@@ -18,18 +20,26 @@ def gauss_legendre(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     return mid + half * x, half * w
 
 
-def lobatto(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """Legendre-Gauss-Lobatto nodes and weights on [a, b] (n >= 2 points).
+@functools.cache
+def _lobatto_reference(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lobatto nodes and weights on [-1, 1], read-only and computed once per n.
 
-    Interior nodes are the roots of P'_{n-1}; weights use the standard
-    closed form 2 / (n (n-1) P_{n-1}(x)^2).
+    Interior nodes are the roots of P'_{n-1} (a companion-matrix eigensolve);
+    weights use the standard closed form 2 / (n (n-1) P_{n-1}(x)^2).
     """
-    if n < 2:
-        raise ValueError("need at least two Lobatto points")
     interior = np.polynomial.Legendre.basis(n - 1).deriv().roots()
     x = np.concatenate(([-1.0], np.real(interior), [1.0]))
     Pn1 = np.polynomial.Legendre.basis(n - 1)(x)
     w = 2.0 / (n * (n - 1) * Pn1**2)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def lobatto(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """Legendre-Gauss-Lobatto nodes and weights on [a, b] (n >= 2 points)."""
+    if n < 2:
+        raise ValueError("need at least two Lobatto points")
+    x, w = _lobatto_reference(n)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return mid + half * x, half * w
 

@@ -125,7 +125,7 @@ class ParametricSurface:
         return fn(np.full_like(th, tb), th)
 
     def first_derivatives(self):
-        key = "d1"
+        key = ("d1", self.grid)
         if key not in self._cache:
             self._cache[key] = (self.sample(self.phi_t), self.sample(self.phi_theta))
         return self._cache[key]

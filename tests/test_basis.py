@@ -11,7 +11,13 @@ from steklov_lab.basis import (
     build_basis,
     dirichlet_matrix,
 )
-from steklov_lab.domain import BoundaryDensity, CircleDomain, Hole, as_samples
+from steklov_lab.domain import (
+    BoundaryDensity,
+    BoundaryMeasureSamples,
+    CircleDomain,
+    Hole,
+    as_samples,
+)
 
 RHO = 0.35
 ANNULUS = CircleDomain((Hole(0.0, RHO),))
@@ -186,7 +192,7 @@ def test_power_tables_match_per_element_loop(dom, M):
     b = build_basis(dom, M)
     r = (np.arange(24) + 0.5) / 24
     grid = np.ravel(r[:, None] * np.exp(2j * math.pi * np.arange(64) / 64)[None, :])
-    points = [b.circle_points(j) for j in range(dom.k)] + [grid[dom.contains(grid, 0.01)]]
+    points = [b.circle_points()[j] for j in range(dom.k)] + [grid[dom.contains(grid, 0.01)]]
     for z in points:
         vals, dz = b._holomorphic_parts(z)
         rvals, rdz = _reference_parts(b, z)
@@ -200,7 +206,7 @@ def test_dz_at_matches_full_table_bitwise(dom):
     b = build_basis(dom, 48)
     r = (np.arange(24) + 0.5) / 24
     grid = np.ravel(r[:, None] * np.exp(2j * math.pi * np.arange(64) / 64)[None, :])
-    for z in [b.circle_points(j) for j in range(dom.k)] + [grid[dom.contains(grid, 0.01)]]:
+    for z in [b.circle_points()[j] for j in range(dom.k)] + [grid[dom.contains(grid, 0.01)]]:
         assert b.dz_at(z).tobytes() == b._holomorphic_parts(z)[1].tobytes()
     assert b._holomorphic_parts(grid[:3], values=False)[0] is None
 
@@ -218,14 +224,14 @@ def test_each_circle_evaluated_once(monkeypatch):
     b = build_basis(dom, 8)
     dirichlet_matrix(b)
     boundary_matrices(b, _uniform(b))
-    assert len(calls) == dom.k
+    assert len(calls) == 1
 
 
 def test_traces_scale():
     # hole elements are normalized to O(1) traces on their own circle
     dom = CircleDomain((Hole(0.5, 0.05),))
     b = build_basis(dom, 12)
-    tr = b.traces(1)
+    tr = b.traces()[:, 1]
     for i, (kind, _, m, _) in enumerate(b.elements):
         if kind == "hole":
             assert np.max(np.abs(tr[i])) < 1.0 + 1e-12
@@ -234,3 +240,37 @@ def test_traces_scale():
 def test_dirichlet_matrix_cached():
     b = build_basis(CircleDomain(), 4)
     assert dirichlet_matrix(b) is dirichlet_matrix(b)
+
+
+def _boundary_matrices_per_circle(b, samples):
+    """Reference: each circle evaluated on its own and its sums accumulated."""
+    n = b.size
+    A, B, m = np.zeros((n, n)), np.zeros((n, n)), np.zeros(n)
+    e = np.exp(1j * b.thetas())
+    for j in range(b.domain.k):
+        rho = b.domain.component_radius(j)
+        vals, dz = b._holomorphic_parts(b.domain.component_center(j) + rho * e)
+        dn = 2.0 * (dz * (e if j == 0 else -e)).real
+        ds = rho * 2.0 * math.pi / b.n_quad
+        A += ds * (vals @ dn.T)
+        w = samples.density_values(j) * ds
+        B += (vals * w) @ vals.T
+        m += vals @ w
+    return 0.5 * (A + A.T), 0.5 * (B + B.T), m
+
+
+@pytest.mark.parametrize("M", [4, 24])
+@pytest.mark.parametrize("dom", [CircleDomain(), ANNULUS, THREE_HOLES], ids=["disk", "annulus", "3holes"])
+def test_stacked_table_matches_per_circle_sums(dom, M):
+    b = build_basis(dom, M)
+    coeffs = tuple((0.2 * j, 0.3, -0.1, 0.05, 0.2) for j in range(dom.k))
+    # a smooth weight, and the benchmark's form: a tuple of constant rows
+    rows = tuple(np.full(b.n_quad, 0.8) for _ in range(dom.k))
+    for samples in (as_samples(dom, BoundaryDensity(coeffs), b.n_quad),
+                    BoundaryMeasureSamples(rows, tuple(dom.radii()))):
+        mats = boundary_matrices(b, samples)
+        ref = _boundary_matrices_per_circle(b, samples)
+        for got, want in zip((mats.A, mats.B, mats.m), ref):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    for j in range(dom.k):
+        assert b.traces()[:, j].tobytes() == b.values_at(b.circle_points()[j]).tobytes()

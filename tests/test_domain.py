@@ -100,6 +100,49 @@ def test_density_values_resamples():
     assert np.max(np.abs(samples.density_values(0, rotated) - expect)) < 1e-12
 
 
+def test_rows_stack_into_one_table():
+    # a tuple of equal-length rows, one per circle, is stacked into (k, n)
+    n = 16
+    samples = BoundaryMeasureSamples((np.full(n, 0.7), np.full(n, 0.7)), (1.0, 0.2))
+    assert samples.values.shape == (2, n) and samples.radii.shape == (2,)
+    assert (samples.k, samples.n) == (2, n)
+    assert samples.values.tolist() == [[0.7] * n] * 2 and samples.radii.tolist() == [1.0, 0.2]
+    assert not samples.values.flags.writeable and not samples.radii.flags.writeable
+    again = BoundaryMeasureSamples(samples.values, samples.radii)
+    assert np.array_equal(again.values, samples.values)
+
+
+def test_ragged_rows_rejected():
+    with pytest.raises(ValueError, match="ragged rows"):
+        BoundaryMeasureSamples((np.ones(16), np.ones(32)), (1.0, 0.2))
+    with pytest.raises(ValueError, match="align"):
+        BoundaryMeasureSamples((np.ones(16), np.ones(16)), (1.0,))
+    with pytest.raises(ValueError, match="align"):
+        BoundaryMeasureSamples(np.ones(16), (1.0,))
+    with pytest.raises(ValueError, match="powers of two"):
+        BoundaryMeasureSamples((np.ones(24),), (1.0,))
+
+
+def _heat_smooth_loop(samples, eps):
+    """Reference: one FFT pair per circle."""
+    rows = []
+    for v, rho in zip(samples.values, samples.radii):
+        coeff = np.fft.rfft(v)
+        coeff *= np.exp(-((np.arange(coeff.size) / rho) ** 2) * eps)
+        rows.append(np.fft.irfft(coeff, n=v.size))
+    return np.array(rows)
+
+
+def test_heat_smooth_table_matches_per_circle_loop():
+    rng = np.random.default_rng(11)
+    th = 2 * math.pi * np.arange(128) / 128
+    vals = np.exp(0.3 * np.cos(np.outer(rng.integers(1, 9, 4), th)) + rng.uniform(-1, 1, (4, 1)))
+    samples = BoundaryMeasureSamples(vals, (1.0, 0.3, 0.05, 0.2))
+    for eps in (0.0, 1e-4, 1e-2, 0.3):
+        ref = _heat_smooth_loop(samples, eps)
+        assert np.max(np.abs(heat_smooth(samples, eps).values - ref)) <= 1e-15 * np.max(ref)
+
+
 def _trig_resample_loop(vals, thetas):
     """Mode-by-mode reference for the band-limited interpolant."""
     n = len(vals)

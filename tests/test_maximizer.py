@@ -10,6 +10,8 @@ from steklov_lab.domain import (
     BoundaryMeasureSamples,
     CircleDomain,
     Hole,
+    as_samples,
+    normalize,
 )
 from steklov_lab.dtn import SteklovSpectrum, steklov_spectrum
 from steklov_lab.maximizer import (
@@ -20,6 +22,8 @@ from steklov_lab.maximizer import (
     EigensolveBudget,
     NotAnEigenfunction,
     SweepEntry,
+    _boundary_fit,
+    _cluster_directions,
     _near_cluster,
     density_gradient,
     extremality_certificate,
@@ -104,7 +108,7 @@ def test_gradient_matches_directional_derivative():
 
     # analytic derivative of sigma_1 * L along g
     basis = build_basis(dom, 16)
-    u = [x @ basis.traces(j) for j in range(2)]
+    u = [x @ basis.traces()[:, j] for j in range(2)]
     L = samples.total_mass()
     q4 = sum(2 * math.pi * np.mean(uj**4 * vj) for uj, vj in zip(u, samples.values))
     sigma = spec.sigma1
@@ -138,6 +142,107 @@ def test_gradient_rejects_bad_vectors():
         density_gradient(DISK, BoundaryDensity.uniform(1), rng.normal(size=basis.size), M=10)
     with pytest.raises(NotAnEigenfunction):
         density_gradient(DISK, BoundaryDensity.uniform(1), np.ones(3), M=10)
+
+
+# -- per-circle references for the stacked boundary table ---------------------
+
+
+def _weight_gradient_loop(samples, sq, sigma, L):
+    def mu(funcs):
+        return sum(2 * math.pi * float(np.mean(f * v)) for f, v in zip(funcs, samples.values))
+
+    avg = mu(sq) / L
+    g = [-sigma * (q - avg) for q in sq]
+    shift = mu(g) / L
+    return [gj - shift for gj in g]
+
+
+def _cluster_directions_loop(basis, samples, spec, near_width=1e-2):
+    """Reference: one trace product and one gradient per circle and member."""
+    sigma, L, k = spec.sigma1, samples.total_mass(), samples.k
+    tiny = 1e-9 * (1.0 + sigma)
+
+    def unit(g):
+        s = max(float(np.max(np.abs(gj))) for gj in g)
+        return (np.array(g) / s if s > tiny else None), s
+
+    def averaged(cols):
+        us = [cols.T @ basis.traces()[:, j] for j in range(k)]
+        g = _weight_gradient_loop(samples, [np.mean(u**2, axis=0) for u in us], sigma, L)
+        return unit(g), us
+
+    strict = spec.eigenvectors[:, spec.cluster_of(1)]
+    (d_strict, _), us = averaged(strict)
+    if strict.shape[1] > 1 and d_strict is None:
+        return []
+    near = _near_cluster(spec, near_width)
+    dirs = [averaged(near)[0][0]] if near.shape[1] > strict.shape[1] else []
+    dirs.append(d_strict)
+    if strict.shape[1] > 1:
+        for i in range(strict.shape[1]):
+            dirs.append(unit(_weight_gradient_loop(samples, [u[i] ** 2 for u in us], sigma, L))[0])
+    return [d for d in dirs if d is not None]
+
+
+def _boundary_fit_loop(basis, samples, cols, dzu):
+    """Reference: the pair and circle loops behind the certificate fit."""
+    m = cols.shape[1]
+    pairs = [(a, b) for a in range(m) for b in range(a, m)]
+    fac = [1.0 if a == b else 2.0 for a, b in pairs]
+    rows, rhs, tr = [], [], []
+    for j in range(samples.k):
+        U = cols.T @ basis.traces()[:, j]
+        tr.append(U)
+        sw = np.sqrt(samples.values[j] * (2.0 * math.pi / samples.n))
+        rows.append(np.stack([f * U[a] * U[b] for f, (a, b) in zip(fac, pairs)], axis=1) * sw[:, None])
+        rhs.append(sw)
+    X, y = np.vstack(rows), np.concatenate(rhs)
+    Um, sv, Vt = np.linalg.svd(X, full_matrices=False)
+    rank = int(np.sum(sv > 1e-5 * sv[0]))
+    c = Vt[:rank].T @ ((Um[:, :rank].T @ y) / sv[:rank])
+    if rank < len(pairs):
+        null = Vt[rank:].T
+        Z = np.stack([f * dzu[a] * dzu[b] for f, (a, b) in zip(fac, pairs)], axis=1)
+        ZN, zc = Z @ null, Z @ c
+        coef = np.linalg.lstsq(np.vstack([ZN.real, ZN.imag]),
+                               -np.concatenate([zc.real, zc.imag]), rcond=None)[0]
+        c = c + null @ coef
+    C = np.zeros((m, m))
+    for p, (a, b) in enumerate(pairs):
+        C[a, b] = C[b, a] = c[p]
+    w, V = np.linalg.eigh(C)
+    C = (V * np.clip(w, 0.0, None)) @ V.T
+    resid = max(float(np.max(np.abs(np.einsum("ab,ax,bx->x", C, U, U) - 1.0))) for U in tr)
+    return C, resid
+
+
+TRIPLE = CircleDomain(tuple(Hole(0.5 * np.exp(2j * math.pi * j / 3), 0.12) for j in range(3)))
+
+
+@pytest.mark.parametrize("dom, dens", [
+    (DISK, BoundaryDensity(((0.0, 0.4, 0.0),))),
+    (ANNULUS_STAR, BoundaryDensity(((0.1, 0.0, 0.2), (0.0, 0.3, 0.0)))),
+    (TRIPLE, BoundaryDensity.uniform(4)),  # symmetric: sigma_1 is double
+    (TRIPLE, BoundaryDensity(((0.0, 0.1, 0.0),) + ((0.2,),) * 3)),
+], ids=["disk", "annulus", "triple-symmetric", "triple"])
+def test_stacked_directions_and_fit_match_per_circle_loops(dom, dens):
+    basis = build_basis(dom, 12)
+    samples = normalize(as_samples(dom, dens, basis.n_quad))
+    spec = steklov_spectrum(dom, samples, basis=basis)
+    got = _cluster_directions(basis, samples, spec)
+    ref = _cluster_directions_loop(basis, samples, spec)
+    assert len(got) == len(ref) > 0
+    for g, r in zip(got, ref):
+        assert g.shape == (dom.k, basis.n_quad)
+        assert np.max(np.abs(g - r)) < 1e-13
+    cols = _near_cluster(spec, 1e-2)
+    r = (np.arange(16) + 0.5) / 16
+    z = np.ravel(r[:, None] * np.exp(2j * math.pi * np.arange(32) / 32)[None, :])
+    dzu = cols.T @ basis.dz_at(z[dom.contains(z, 1e-3)])
+    C, resid, _ = _boundary_fit(basis, samples, cols, dzu=dzu)
+    C_ref, resid_ref = _boundary_fit_loop(basis, samples, cols, dzu)
+    assert np.max(np.abs(C - C_ref)) <= 1e-12 * np.max(np.abs(C_ref))
+    assert abs(resid - resid_ref) <= 1e-10 * max(resid_ref, 1e-3)
 
 
 # -- ascent on the disk -------------------------------------------------------

@@ -6,6 +6,7 @@ from steklov_lab.spectral1d import (
     diff_matrix,
     gauss_legendre,
     interp_matrix,
+    _lobatto_reference,
     lobatto,
 )
 
@@ -52,3 +53,26 @@ def test_interp_matrix_reproduces_polynomials():
     P = interp_matrix(x, xq)
     assert np.max(np.abs(P @ x**5 - xq**5)) < 1e-12
     assert np.max(np.abs(diff_matrix(x) @ x**5 - 5 * x**4)) < 1e-9
+
+
+def _lobatto_direct(n, a, b):
+    """Reference: the roots and weights recomputed from scratch on every call."""
+    interior = np.polynomial.Legendre.basis(n - 1).deriv().roots()
+    x = np.concatenate(([-1.0], np.real(interior), [1.0]))
+    w = 2.0 / (n * (n - 1) * np.polynomial.Legendre.basis(n - 1)(x) ** 2)
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    return mid + half * x, half * w
+
+
+@pytest.mark.parametrize("n", [2, 3, 16, 64, 128])
+def test_lobatto_scales_one_cached_reference(n):
+    x, w = _lobatto_reference(n)
+    assert _lobatto_reference(n)[0] is x
+    assert not x.flags.writeable and not w.flags.writeable
+    for a, b in [(-1.0, 1.0), (-0.37, 0.37), (-2.5, 2.5), (0.0, 1.3)]:
+        t, wt = lobatto(n, a, b)
+        rt, rw = _lobatto_direct(n, a, b)
+        assert t.tobytes() == rt.tobytes() and wt.tobytes() == rw.tobytes()
+        assert t.flags.writeable and wt.flags.writeable
+    with pytest.raises(ValueError):
+        lobatto(1, -1.0, 1.0)

@@ -76,6 +76,17 @@ def test_first_variation_identity(catenoid, moebius):
         assert rep.area > 0
 
 
+def test_grid_change_resamples_cached_fields():
+    # every cached field is keyed by the grid, so a regridded surface
+    # integrates on its new grid
+    surf = critical_catenoid()
+    fine = surf.area()
+    surf.grid = (32, 128)
+    coarse = surf.area()
+    assert coarse == critical_catenoid(grid=(32, 128)).area()
+    assert abs(coarse - fine) < 1e-12 * fine
+
+
 def test_flat_disk_area():
     assert abs(flat_disk().area() - math.pi) < 1e-10
 

@@ -31,7 +31,6 @@ from .maximizer import (
     ConfigurationResult,
     EigensolveBudget,
     SweepEntry,
-    density_gradient,
     extremality_certificate,
     optimize_configuration,
     optimize_density,

@@ -12,7 +12,9 @@ mean vector come from the same trapezoid quadrature on every circle, which
 is spectrally accurate for these analytic integrands.  All k circles are
 evaluated in one call and cached as one (size, k, n_quad) trace table and
 one normal-derivative table, so each matrix is one product over the k * n_quad
-flattened boundary nodes.
+flattened boundary nodes.  Off the boundary, ``dz_at`` differentiates
+given coefficient columns directly, one Horner sum per circle, so no
+(size, npts) table is built for interior points.
 """
 
 from __future__ import annotations
@@ -83,39 +85,38 @@ class HarmonicBasis:
 
     # -- pointwise evaluation -------------------------------------------------
 
-    def _holomorphic_parts(self, z: np.ndarray, values: bool = True):
+    def _circle_variables(self, zf: np.ndarray):
+        """(z - c_j or None, w, dw/dz) per circle, outer first: w = z, then r_j/(z - c_j)."""
+        yield None, zf, 1.0
+        for hole in self.domain.holes:
+            d = zf - hole.center
+            w = hole.radius / d
+            yield d, w, -w * w / hole.radius
+
+    def _holomorphic_parts(self, z: np.ndarray):
         """Value and d/dz data for all elements at points z.
 
         Returns (vals, dz) with shape (size, len(z)); vals real, dz complex
         holding d(element)/dz (Wirtinger), so grad = 2*(Re dz, -Im dz).
-        With ``values=False`` vals is None and its table is never built.
         Each circle is one cumulative power table: w = z on the outer circle
         or w = r_j/(z - c_j) for hole j, F = w^m and dF/dz = m w^(m-1) dw/dz.
         """
         zf = np.asarray(z, dtype=complex).ravel()
         M = self.M
-        vals = np.empty((self.size, zf.size)) if values else None
+        vals = np.empty((self.size, zf.size))
         dz = np.empty((self.size, zf.size), dtype=complex)
-        if values:
-            vals[0] = 1.0
+        vals[0] = 1.0
         dz[0] = 0.0
         m = np.arange(1, M + 1)[:, None]
         i = 1
-        for hole in (None, *self.domain.holes):
-            if hole is None:
-                w, dw = zf, 1.0
-            else:
-                d = zf - hole.center
-                if values:
-                    vals[i] = np.log(np.abs(d))
+        for d, w, dw in self._circle_variables(zf):
+            if d is not None:
+                vals[i] = np.log(np.abs(d))
                 dz[i] = 0.5 / d
                 i += 1
-                w = hole.radius / d
-                dw = -w * w / hole.radius
             pw = np.cumprod(np.broadcast_to(w, (M, zf.size)), axis=0)
-            if values:
-                vals[i:i + 2 * M:2] = pw.real
-                vals[i + 1:i + 2 * M:2] = pw.imag
+            vals[i:i + 2 * M:2] = pw.real
+            vals[i + 1:i + 2 * M:2] = pw.imag
             # Re F rows take dF/2 = m w^(m-1) dw/2, Im F rows the rotated
             # -i dF/2; both are formed in place to keep large grids lean
             d_re, d_im = dz[i:i + 2 * M:2], dz[i + 1:i + 2 * M:2]
@@ -131,9 +132,36 @@ class HarmonicBasis:
         """Element values at arbitrary points, shape (size, npts)."""
         return self._holomorphic_parts(z)[0]
 
-    def dz_at(self, z: np.ndarray) -> np.ndarray:
-        """Wirtinger d/dz of each element, shape (size, npts) complex."""
-        return self._holomorphic_parts(z, values=False)[1]
+    def dz_at(self, z: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Wirtinger d/dz of the functions whose coefficients are the columns of cols.
+
+        cols is (size, ncols); the result is (ncols, npts) complex, so
+        grad u = 2*(Re, -Im) of each row.  On each circle the derivative is
+        dw/dz times a polynomial in w whose coefficients come from the Re/Im
+        column pairs, summed by Horner's rule; no per-element table is built.
+        """
+        zf = np.asarray(z, dtype=complex).ravel()
+        cols = np.asarray(cols, dtype=float)
+        if cols.ndim != 2 or cols.shape[0] != self.size:
+            raise ValueError(f"cols must have shape ({self.size}, ncols), got {cols.shape}")
+        M = self.M
+        half_m = 0.5 * np.arange(1, M + 1)[:, None]
+        out = np.zeros((cols.shape[1], zf.size), dtype=complex)
+        i = 1
+        for d, w, dw in self._circle_variables(zf):
+            if d is not None:
+                out += cols[i][:, None] * (0.5 / d)
+                i += 1
+            # d/dz of Re w^m is m w^(m-1) dw/2 and of Im w^m -i times that
+            c = half_m * (cols[i:i + 2 * M:2] - 1j * cols[i + 1:i + 2 * M:2])
+            acc = np.repeat(c[-1][:, None], zf.size, axis=1)
+            for cm in c[-2::-1]:
+                acc *= w
+                acc += cm[:, None]
+            acc *= dw
+            out += acc
+            i += 2 * M
+        return out
 
     # -- cached boundary tables ------------------------------------------------
 

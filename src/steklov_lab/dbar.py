@@ -131,10 +131,6 @@ class DbarSolution:
         phases = np.exp(1j * theta[..., None] * np.fft.fftfreq(ntheta, d=1.0 / ntheta))
         return np.einsum("...n,...n->...", modes_at, phases, optimize=True)
 
-    def boundary_re_max(self) -> float:
-        return float(max(np.max(np.abs(self.values[0].real)),
-                         np.max(np.abs(self.values[-1].real))))
-
 
 def dbar_apply(values: np.ndarray, t_nodes: np.ndarray) -> np.ndarray:
     """Discrete d-bar operator (f_t + i f_theta)/2 on the collocation grid."""
@@ -291,13 +287,6 @@ def _shape_weight(surface: ParametricSurface, t, theta):
 def _compat_rhs(surface: ParametricSurface, psi):
     """Closure for k = psi (phi_tt.nu + i phi_ttheta.nu) / |phi_t|^2."""
     return lambda t, theta: psi(t, theta) * _shape_weight(surface, t, theta)
-
-
-def compatibility_integral(surface: ParametricSurface, psi) -> float:
-    """Integral of Re k over the parameter cylinder (the solvability pairing)."""
-    _, wt, _, wth = surface.nodes()
-    k = surface.sample(_compat_rhs(surface, psi))
-    return float(wt @ np.sum(k.real, axis=1)) * wth
 
 
 def _complement(unit: np.ndarray) -> np.ndarray:

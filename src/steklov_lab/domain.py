@@ -58,9 +58,6 @@ class CircleDomain:
         """Number of boundary components."""
         return 1 + len(self.holes)
 
-    def component_center(self, j: int) -> complex:
-        return 0j if j == 0 else self.holes[j - 1].center
-
     def component_radius(self, j: int) -> float:
         return 1.0 if j == 0 else self.holes[j - 1].radius
 

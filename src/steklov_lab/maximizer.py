@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import HarmonicBasis, boundary_matrices, build_basis
+from .basis import HarmonicBasis, build_basis
 from .domain import (
     HOLE_MARGIN,
     BoundaryDensity,
@@ -38,10 +38,6 @@ REL_IMPROVE_TOL = 1e-9
 # the eigenvalue derivative vanishes for every weight perturbation, so the
 # smallest cluster member cannot be raised to first order
 GRAD_TOL = 1e-9
-
-
-class NotAnEigenfunction(ValueError):
-    """The supplied coefficient vector does not solve the eigenproblem."""
 
 
 class BudgetExhausted(RuntimeError):
@@ -147,45 +143,6 @@ def _weight_gradient(samples: BoundaryMeasureSamples, sq, sigma: float, L: float
 def _boundary_traces(basis: HarmonicBasis, cols: np.ndarray) -> np.ndarray:
     """Traces of the coefficient columns on every circle, (ncols, k, n_quad)."""
     return np.tensordot(cols, basis.traces(), axes=(0, 0))
-
-
-def density_gradient(domain, density, coeffs, *, M: int = 16,
-                     basis: HarmonicBasis | None = None,
-                     residual_tol: float = 1e-8):
-    """First variation of sigma_1 under multiplicative weight perturbations.
-
-    coeffs must describe an eigenfunction of the weighted problem to relative
-    residual residual_tol; it is renormalized to unit weighted boundary L2
-    internally.  Returns a (k, n) table, one row per boundary circle on the
-    same uniform grid as the weight, with mean zero against the weighted
-    measure.
-    Stepping the log-weight along the returned function raises sigma_1 * L
-    to first order.
-    """
-    if basis is None:
-        basis = build_basis(domain, M)
-    samples = as_samples(domain, density, basis.n_quad)
-    mats = boundary_matrices(basis, samples)
-    x = np.asarray(coeffs, dtype=float).ravel()
-    if x.shape != (basis.size,):
-        raise NotAnEigenfunction(
-            f"coefficient vector has length {x.size}, basis needs {basis.size}"
-        )
-    Ax = mats.A @ x
-    Bx = mats.B @ x
-    den = float(x @ Bx)
-    if den <= 0.0:
-        raise NotAnEigenfunction("vector has nonpositive boundary norm")
-    sigma = float(x @ Ax) / den
-    scale = max(np.linalg.norm(Ax), abs(sigma) * np.linalg.norm(Bx), 1e-300)
-    resid = np.linalg.norm(Ax - sigma * Bx) / scale
-    if resid > residual_tol:
-        raise NotAnEigenfunction(
-            f"eigenproblem residual {resid:.2e} exceeds {residual_tol:.1e}"
-        )
-    x = x / math.sqrt(den)
-    u = _boundary_traces(basis, x)
-    return _weight_gradient(samples, u**2, sigma, samples.total_mass())
 
 
 # -- inner ascent -------------------------------------------------------------
@@ -431,7 +388,7 @@ def extremality_certificate(domain, density, eigenspace, *, M: int = 16,
     th = 2.0 * math.pi * np.arange(nth) / nth
     z = np.ravel(r[:, None] * np.exp(1j * th)[None, :])
     z = z[domain.contains(z, margin)]
-    dzu = cols.T @ basis.dz_at(z) if z.size else None
+    dzu = basis.dz_at(z, cols) if z.size else None
     C, res_b, n_indep = _boundary_fit(basis, samples, cols, dzu=dzu)
     if dzu is not None:
         hopf = np.einsum("ab,ax,bx->x", C, dzu, dzu)

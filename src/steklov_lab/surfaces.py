@@ -543,44 +543,6 @@ def area_length_report(surface: ParametricSurface) -> FormReport:
     )
 
 
-def finite_difference_surface(
-    surface: ParametricSurface, *,
-    h1: float = 1e-6, h2: float = 2e-4, grid=(256, 256),
-) -> ParametricSurface:
-    """Clone of a surface whose derivative closures are central differences of phi.
-
-    Cross-checks the analytic derivative closures: residuals of the clone under
-    verify_minimal_free_boundary stay at the finite-difference error level
-    (around 1e-7 with the default steps) when the closures are consistent.
-    """
-    phi = surface.phi
-
-    def d_t(t, theta):
-        return (phi(t + h1, theta) - phi(t - h1, theta)) / (2.0 * h1)
-
-    def d_theta(t, theta):
-        return (phi(t, theta + h1) - phi(t, theta - h1)) / (2.0 * h1)
-
-    def d_tt(t, theta):
-        return (phi(t + h2, theta) - 2.0 * phi(t, theta) + phi(t - h2, theta)) / h2**2
-
-    def d_ttheta(t, theta):
-        return (
-            phi(t + h2, theta + h2) - phi(t + h2, theta - h2)
-            - phi(t - h2, theta + h2) + phi(t - h2, theta - h2)
-        ) / (4.0 * h2**2)
-
-    def d_thetatheta(t, theta):
-        return (phi(t, theta + h2) - 2.0 * phi(t, theta) + phi(t, theta - h2)) / h2**2
-
-    return ParametricSurface(
-        topology=surface.topology, T=surface.T, n=surface.n,
-        phi=phi, phi_t=d_t, phi_theta=d_theta,
-        phi_tt=d_tt, phi_ttheta=d_ttheta, phi_thetatheta=d_thetatheta,
-        grid=grid, name=surface.name + "+fd",
-    )
-
-
 # -- mesh export --------------------------------------------------------------
 
 

@@ -124,7 +124,7 @@ def test_gradients_match_finite_differences():
     b = build_basis(dom, 3)
     z0 = -0.3 + 0.45j
     h = 1e-6
-    dz = b.dz_at(np.array([z0]))
+    dz = b.dz_at(np.array([z0]), np.eye(b.size))
     gx, gy = 2.0 * dz.real, -2.0 * dz.imag
     fx = (b.values_at(np.array([z0 + h])) - b.values_at(np.array([z0 - h]))) / (2 * h)
     fy = (b.values_at(np.array([z0 + 1j * h])) - b.values_at(np.array([z0 - 1j * h]))) / (2 * h)
@@ -201,14 +201,25 @@ def test_power_tables_match_per_element_loop(dom, M):
 
 
 @pytest.mark.parametrize("dom", [CircleDomain(), THREE_HOLES], ids=["disk", "3holes"])
-def test_dz_at_matches_full_table_bitwise(dom):
-    # dz_at skips the value table but fills dz by the same arithmetic
-    b = build_basis(dom, 48)
+def test_dz_at_matches_contracted_table(dom):
+    # the Horner sums per circle equal the element table contracted with cols
+    rng = np.random.default_rng(11)
     r = (np.arange(24) + 0.5) / 24
     grid = np.ravel(r[:, None] * np.exp(2j * math.pi * np.arange(64) / 64)[None, :])
-    for z in [b.circle_points()[j] for j in range(dom.k)] + [grid[dom.contains(grid, 0.01)]]:
-        assert b.dz_at(z).tobytes() == b._holomorphic_parts(z)[1].tobytes()
-    assert b._holomorphic_parts(grid[:3], values=False)[0] is None
+    for M in (1, 2, 12, 48, 64):
+        b = build_basis(dom, M)
+        points = [b.circle_points()[j] for j in range(dom.k)] + [grid[dom.contains(grid, 0.01)]]
+        for ncols in (1, 3):
+            cols = rng.normal(size=(b.size, ncols))
+            for z in points:
+                got = b.dz_at(z, cols)
+                ref = cols.T @ b._holomorphic_parts(z)[1]
+                assert got.shape == (ncols, z.size)
+                scale = np.max(np.abs(ref), axis=1, keepdims=True)
+                assert np.all(np.abs(got - ref) <= 1e-13 * scale)
+            assert b.dz_at(np.array([], dtype=complex), cols).shape == (ncols, 0)
+        with pytest.raises(ValueError):
+            b.dz_at(grid[:3], cols[1:])
 
 
 def test_each_circle_evaluated_once(monkeypatch):
@@ -242,6 +253,10 @@ def test_dirichlet_matrix_cached():
     assert dirichlet_matrix(b) is dirichlet_matrix(b)
 
 
+def _center(dom, j):
+    return 0j if j == 0 else dom.holes[j - 1].center
+
+
 def _boundary_matrices_per_circle(b, samples):
     """Reference: each circle evaluated on its own and its sums accumulated."""
     n = b.size
@@ -249,7 +264,7 @@ def _boundary_matrices_per_circle(b, samples):
     e = np.exp(1j * b.thetas())
     for j in range(b.domain.k):
         rho = b.domain.component_radius(j)
-        vals, dz = b._holomorphic_parts(b.domain.component_center(j) + rho * e)
+        vals, dz = b._holomorphic_parts(_center(b.domain, j) + rho * e)
         dn = 2.0 * (dz * (e if j == 0 else -e)).real
         ds = rho * 2.0 * math.pi / b.n_quad
         A += ds * (vals @ dn.T)

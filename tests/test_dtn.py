@@ -162,6 +162,10 @@ def _circumcircle(a, b, c):
     return center, abs(a - center)
 
 
+def _center(dom, j):
+    return 0j if j == 0 else dom.holes[j - 1].center
+
+
 def test_sigma1_L_is_moebius_invariant():
     # a disk automorphism maps the circle domain to another one; with the
     # boundary measure pushed forward, the Dirichlet energy and the measure
@@ -192,8 +196,8 @@ def test_sigma1_L_is_moebius_invariant():
     values = []
     for j in range(image.k):
         rho = image.component_radius(j)
-        z = phi_inv(image.component_center(j) + rho * np.exp(1j * th))
-        lam = dens.values(j, np.angle(z - dom.component_center(j)))
+        z = phi_inv(_center(image, j) + rho * np.exp(1j * th))
+        lam = dens.values(j, np.angle(z - _center(dom, j)))
         dphi = (1 - abs(a) ** 2) / (1 - a.conjugate() * z) ** 2
         values.append(lam / np.abs(dphi) * rho)
     pushed = BoundaryMeasureSamples(tuple(values), tuple(image.radii()))

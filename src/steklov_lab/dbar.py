@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .spectral1d import diff_matrix, fourier_diff, interp_matrix, lobatto
-from .surfaces import ParametricSurface, VariationField, _t_derivative, energy_form_Q, index_form_S
+from .surfaces import ParametricSurface, VariationField, energy_form_Q, index_form_S
 
 SOLVABILITY_TOL = 1e-8
 
@@ -253,7 +253,6 @@ class ConformalFieldSpace:
     candidates: callable
     scale: np.ndarray
     gram: np.ndarray
-    gram_eigenvalues: np.ndarray
     constraint: np.ndarray
     kernel: np.ndarray
     dim_C: int
@@ -347,8 +346,7 @@ def conformal_field_space(surface: ParametricSurface, svd_tol: float = 1e-8) -> 
 
     return ConformalFieldSpace(
         labels=labels, candidates=candidates, scale=scale, gram=gram,
-        gram_eigenvalues=evals, constraint=constraint,
-        kernel=kernel, dim_C=dim_C, dim_C1=kernel.shape[1],
+        constraint=constraint, kernel=kernel, dim_C=dim_C, dim_C1=kernel.shape[1],
     )
 
 
@@ -387,19 +385,14 @@ def build_conformal_variation(
     Y = VariationField(Y_fn, kind="general")
 
     # conformality certificate on the surface tensor grid
-    Yg = surface.sample(Y_fn)
-    Yt = _t_derivative(surface, Yg)
-    Yth = fourier_diff(Yg, axis=1)
+    Yt, Yth = surface.grid_derivatives(surface.sample(Y_fn))
     pt, pth = surface.first_derivatives()
     lam2 = surface.conformal_factor_sq()
     diag = np.abs(np.sum(Yt * pt, axis=-1) - np.sum(Yth * pth, axis=-1)) / lam2
     off = np.abs(np.sum(Yt * pth, axis=-1) + np.sum(Yth * pt, axis=-1)) / lam2
 
-    tangency = 0.0
-    for tb, _sign in surface.boundaries():
-        x = surface.sample_circle(surface.phi, tb)
-        Yb = surface.sample_circle(Y_fn, tb)
-        tangency = max(tangency, float(np.max(np.abs(np.sum(x * Yb, axis=-1)))))
+    x = surface.sample_boundary(surface.phi)
+    tangency = float(np.max(np.abs(np.sum(x * surface.sample_boundary(Y_fn), axis=-1))))
 
     return ConformalVariation(
         Y=Y, psi=psi, solution=sol,

@@ -66,13 +66,6 @@ class SteklovSpectrum:
     def multiplicity(self, i: int) -> int:
         return len(self.cluster_of(i))
 
-    def to_json(self) -> dict:
-        return {
-            "eigenvalues": [float(v) for v in self.eigenvalues],
-            "clusters": [list(map(int, c)) for c in self.clusters],
-            "sigma1L": float(self.sigma1_L) if len(self.eigenvalues) > 1 else None,
-        }
-
 
 def _cluster(vals: np.ndarray, tol: float) -> list[list[int]]:
     """Runs of consecutive indices whose gaps are at most tol * max(1, |sigma|)."""

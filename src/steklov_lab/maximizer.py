@@ -128,16 +128,12 @@ def _weight_gradient(samples: BoundaryMeasureSamples, sq, sigma: float, L: float
 
     ``sq`` is a (..., k, n) stack of u^2 tables for unit-norm eigenfunctions
     u (or averages of such squares over a cluster); each result is
-    -sigma (u^2 - avg) less its mean against the weighted measure of total
-    mass L.
+    -sigma (u^2 - avg), avg the mean of u^2 against the weighted measure of
+    total mass L, so it has mean zero.
     """
-    def mu(f):
-        """Integral of each (k, n) table against the measure, kept broadcastable."""
-        per_circle = 2.0 * math.pi * np.mean(f * samples.values, axis=-1)
-        return np.sum(per_circle, axis=-1)[..., None, None]
-
-    g = -sigma * (sq - mu(sq) / L)
-    return g - mu(g) / L
+    per_circle = 2.0 * math.pi * np.mean(sq * samples.values, axis=-1)
+    avg = np.sum(per_circle, axis=-1)[..., None, None] / L
+    return -sigma * (sq - avg)
 
 
 def _boundary_traces(basis: HarmonicBasis, cols: np.ndarray) -> np.ndarray:

@@ -26,7 +26,11 @@ without finite differencing.  The module provides
 Quadrature is Gauss-Legendre in t (spectrally accurate for these analytic
 integrands) and periodic trapezoid in theta; Moebius quantities are computed
 on the orientation double cover and halved.  Closures are evaluated on the
-open mesh (t column, theta row) and read through ``ParametricSurface.sample``.
+open mesh (t column, theta row) and read through ``ParametricSurface.sample``;
+boundary fields are one stacked (n_circles, ntheta) table from
+``sample_boundary``.  Every integral goes through ``grid_integral`` (dt dtheta)
+or ``boundary_integral`` (ds, against a cached table of |phi_theta|), and
+every derivative of a sampled field through ``grid_derivatives``.
 """
 
 from __future__ import annotations
@@ -84,12 +88,6 @@ class ParametricSurface:
     def quotient_factor(self) -> float:
         return 0.5 if self.topology == "moebius" else 1.0
 
-    def boundaries(self) -> list[tuple[float, float]]:
-        """(t value, outward sign of d/dt) for each parameter boundary circle."""
-        if self.topology == "disk":
-            return [(self.T, 1.0)]
-        return [(self.T, 1.0), (-self.T, -1.0)]
-
     def nodes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
         """(t nodes, t weights, theta nodes, theta weight)."""
         key = ("nodes", self.grid)
@@ -119,10 +117,19 @@ class ParametricSurface:
         vals = np.asarray(fn(*self.mesh()))
         return np.broadcast_to(vals, self.grid + vals.shape[2:])
 
-    def sample_circle(self, fn, tb: float) -> np.ndarray:
-        """fn on the boundary circle t = tb at the theta nodes."""
+    def boundary_t(self) -> np.ndarray:
+        """t of each boundary circle; its sign is the outward direction of d/dt."""
+        return np.array([self.T] if self.topology == "disk" else [self.T, -self.T])
+
+    def sample_boundary(self, fn) -> np.ndarray:
+        """fn on every boundary circle as one (n_circles, ntheta, ...) table.
+
+        The circles are few, so fn sees the full (n_circles, ntheta) arrays:
+        every point is then computed exactly as on a single circle, also for
+        closures whose reductions depend on how their inputs broadcast.
+        """
         _, _, th, _ = self.nodes()
-        return fn(np.full_like(th, tb), th)
+        return np.asarray(fn(*np.broadcast_arrays(self.boundary_t()[:, None], th[None, :])))
 
     def first_derivatives(self):
         key = ("d1", self.grid)
@@ -130,31 +137,41 @@ class ParametricSurface:
             self._cache[key] = (self.sample(self.phi_t), self.sample(self.phi_theta))
         return self._cache[key]
 
+    def grid_derivatives(self, Fg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(d/dt, d/dtheta) of a field sampled on the full grid."""
+        key = ("Dt", self.grid)
+        if key not in self._cache:
+            self._cache[key] = diff_matrix(self.nodes()[0])
+        return np.einsum("ij,jkl->ikl", self._cache[key], Fg), fourier_diff(Fg, axis=1)
+
+    def grid_integral(self, f: np.ndarray) -> float:
+        """int f dt dtheta of an (nt, ntheta) table."""
+        _, wt, _, wth = self.nodes()
+        return self.quotient_factor * float(wt @ np.sum(f, axis=1)) * wth
+
+    def boundary_integral(self, f) -> float:
+        """int f ds of an (n_circles, ntheta) table, ds = |phi_theta| dtheta."""
+        key = ("ds", self.grid)
+        if key not in self._cache:
+            self._cache[key] = np.linalg.norm(self.sample_boundary(self.phi_theta), axis=-1)
+        _, _, _, wth = self.nodes()
+        per_circle = np.sum(f * self._cache[key], axis=1) * wth
+        return self.quotient_factor * float(np.sum(per_circle))
+
     def conformal_factor_sq(self) -> np.ndarray:
         pt, _ = self.first_derivatives()
         return np.sum(pt**2, axis=-1)
 
     def area(self) -> float:
-        t, wt, th, wth = self.nodes()
-        lam2 = self.conformal_factor_sq()
-        return self.quotient_factor * float(wt @ np.sum(lam2, axis=1)) * wth
-
-    def boundary_speed(self, tb: float) -> np.ndarray:
-        """|phi_theta| on the boundary circle t = tb (arc length element)."""
-        return np.linalg.norm(self.sample_circle(self.phi_theta, tb), axis=-1)
+        return self.grid_integral(self.conformal_factor_sq())
 
     def boundary_length(self) -> float:
-        _, _, _, wth = self.nodes()
-        total = sum(float(np.sum(self.boundary_speed(tb))) * wth
-                    for tb, _sign in self.boundaries())
-        return self.quotient_factor * total
+        return self.boundary_integral(1.0)
 
     def energy(self) -> float:
         """Dirichlet energy of the immersion; equals 2*area for conformal maps."""
-        t, wt, th, wth = self.nodes()
         pt, pth = self.first_derivatives()
-        dens = np.sum(pt**2, axis=-1) + np.sum(pth**2, axis=-1)
-        return self.quotient_factor * float(wt @ np.sum(dens, axis=1)) * wth
+        return self.grid_integral(np.sum(pt**2, axis=-1) + np.sum(pth**2, axis=-1))
 
     def unit_normal(self, t: np.ndarray, theta: np.ndarray) -> np.ndarray:
         """Unit normal field (n = 3 only)."""
@@ -351,20 +368,15 @@ def verify_minimal_free_boundary(surface: ParametricSurface) -> dict:
         "containment": float(max(np.max(np.linalg.norm(vals, axis=-1)) - 1.0, 0.0)),
     }
 
-    sphere = conormal = eigen = 0.0
-    for tb, sign in surface.boundaries():
-        x = surface.sample_circle(surface.phi, tb)
-        dpt = surface.sample_circle(surface.phi_t, tb)
-        lam = np.linalg.norm(dpt, axis=-1, keepdims=True)
-        eta = sign * dpt / lam
-        sphere = max(sphere, float(np.max(np.abs(1.0 - np.linalg.norm(x, axis=-1)))))
-        conormal = max(conormal, float(np.max(np.linalg.norm(
-            eta - x / np.linalg.norm(x, axis=-1, keepdims=True), axis=-1))))
-        # coordinate functions as eigenfunctions: d(phi)/d(eta) = phi on the boundary
-        eigen = max(eigen, float(np.max(np.linalg.norm(sign * dpt / lam - x, axis=-1))))
-    res["boundary_unit_sphere"] = sphere
-    res["conormal_radial"] = conormal
-    res["eigenfunction"] = eigen
+    x = surface.sample_boundary(surface.phi)
+    dpt = surface.sample_boundary(surface.phi_t)
+    sign = np.sign(surface.boundary_t())[:, None, None]
+    eta = sign * dpt / np.linalg.norm(dpt, axis=-1, keepdims=True)
+    r = np.linalg.norm(x, axis=-1, keepdims=True)
+    res["boundary_unit_sphere"] = float(np.max(np.abs(1.0 - r)))
+    res["conormal_radial"] = float(np.max(np.linalg.norm(eta - x / r, axis=-1)))
+    # coordinate functions as eigenfunctions: d(phi)/d(eta) = phi on the boundary
+    res["eigenfunction"] = float(np.max(np.linalg.norm(eta - x, axis=-1)))
 
     if surface.topology == "moebius":
         ident = surface.sample(lambda t, theta: surface.phi(-t, theta + math.pi)) - vals
@@ -375,20 +387,9 @@ def verify_minimal_free_boundary(surface: ParametricSurface) -> dict:
 # -- quadratic forms ----------------------------------------------------------
 
 
-def _t_derivative(surface: ParametricSurface, values: np.ndarray) -> np.ndarray:
-    t, _, _, _ = surface.nodes()
-    key = ("Dt", surface.grid)
-    if key not in surface._cache:
-        surface._cache[key] = diff_matrix(t)
-    D = surface._cache[key]
-    return np.einsum("ij,jkl->ikl", D, values)
-
-
 def area_integral(surface: ParametricSurface, scalar_grid: np.ndarray) -> float:
     """Integrate a scalar sampled on the tensor grid against the area element."""
-    _, wt, _, wth = surface.nodes()
-    lam2 = surface.conformal_factor_sq()
-    return surface.quotient_factor * float(wt @ np.sum(scalar_grid * lam2, axis=1)) * wth
+    return surface.grid_integral(scalar_grid * surface.conformal_factor_sq())
 
 
 def field_norm_sq_integral(surface: ParametricSurface, W) -> float:
@@ -405,7 +406,6 @@ def index_form_S(surface: ParametricSurface, W) -> float:
     The field must be normal on the grid to within ``NORMAL_TOL`` relative to
     its size, otherwise NotNormal is raised.
     """
-    _, wt, _, wth = surface.nodes()
     pt, pth = surface.first_derivatives()
     lam2 = np.sum(pt**2, axis=-1)
     lam = np.sqrt(lam2)
@@ -424,9 +424,7 @@ def index_form_S(surface: ParametricSurface, W) -> float:
                 f"(scale {scale:.2e})"
             )
 
-    Wt = _t_derivative(surface, Wg)
-    Wth = fourier_diff(Wg, axis=1)
-
+    Wt, Wth = surface.grid_derivatives(Wg)
     grad_perp_sq = np.zeros_like(lam2)
     for dW in (Wt, Wth):
         d = dW / lam[..., None]
@@ -442,14 +440,9 @@ def index_form_S(surface: ParametricSurface, W) -> float:
     a22 = np.sum(phh * Wg, axis=-1) / lam2
     shape_sq = a11**2 + 2.0 * a12**2 + a22**2
 
-    interior = float(wt @ np.sum((grad_perp_sq - shape_sq) * lam2, axis=1)) * wth
-
-    boundary = 0.0
-    for tb, _sign in surface.boundaries():
-        Wb = surface.sample_circle(W, tb)
-        boundary += float(np.sum(np.sum(Wb**2, axis=-1) * surface.boundary_speed(tb))) * wth
-
-    return surface.quotient_factor * (interior - boundary)
+    interior = surface.grid_integral((grad_perp_sq - shape_sq) * lam2)
+    Wb = surface.sample_boundary(W)
+    return interior - surface.boundary_integral(np.sum(Wb**2, axis=-1))
 
 
 def index_form_boundary(surface: ParametricSurface, v: np.ndarray) -> float:
@@ -458,14 +451,8 @@ def index_form_boundary(surface: ParametricSurface, v: np.ndarray) -> float:
     Equals int_(boundary) (-1 + 2 (v . x)^2) ds on a free boundary minimal
     surface; used as the independent check of the interior quadrature.
     """
-    v = np.asarray(v, dtype=float)
-    _, _, _, wth = surface.nodes()
-    total = 0.0
-    for tb, _sign in surface.boundaries():
-        x = surface.sample_circle(surface.phi, tb)
-        vx = x @ v
-        total += float(np.sum((-1.0 + 2.0 * vx**2) * surface.boundary_speed(tb))) * wth
-    return surface.quotient_factor * total
+    vx = surface.sample_boundary(surface.phi) @ np.asarray(v, dtype=float)
+    return surface.boundary_integral(-1.0 + 2.0 * vx**2)
 
 
 def normal_part(surface: ParametricSurface, ambient) -> VariationField:
@@ -496,35 +483,26 @@ def energy_form_Q(surface: ParametricSurface, V, W) -> float:
     (|x . V| within ``TANGENCY_TOL`` of zero relative to max(|V|, 1)), since
     the form is the second variation of energy among maps keeping the boundary
     on the sphere; otherwise BoundaryTangencyViolated is raised.  Each field
-    is sampled once on the mesh and once on each boundary circle; W is V
+    is sampled once on the mesh and once on the boundary circles; W is V
     reuses V's samples.
     """
-    _, wt, _, wth = surface.nodes()
-    circles = [tb for tb, _sign in surface.boundaries()]
-    xs = [surface.sample_circle(surface.phi, tb) for tb in circles]
+    x = surface.sample_boundary(surface.phi)
 
     def sampled(name, F):
-        Fb = [surface.sample_circle(F, tb) for tb in circles]
-        worst = max(float(np.max(np.abs(np.sum(x * f, axis=-1)))) for x, f in zip(xs, Fb))
-        scale = max(float(np.max(np.linalg.norm(f, axis=-1))) for f in Fb)
+        Fb = surface.sample_boundary(F)
+        worst = float(np.max(np.abs(np.sum(x * Fb, axis=-1))))
+        scale = float(np.max(np.linalg.norm(Fb, axis=-1)))
         if scale > 0.0 and worst > TANGENCY_TOL * max(scale, 1.0):
             raise BoundaryTangencyViolated(
                 f"field {name} has normal boundary component {worst:.2e}"
             )
-        Fg = surface.sample(F)
-        return Fb, _t_derivative(surface, Fg), fourier_diff(Fg, axis=1)
+        return Fb, *surface.grid_derivatives(surface.sample(F))
 
     Vb, Vt, Vth = sampled("V", V)
     Wb, Wt, Wth = (Vb, Vt, Vth) if W is V else sampled("W", W)
     # <DV, DW> da is conformally invariant: (Vt.Wt + Vth.Wth) dt dtheta
-    dens = np.sum(Vt * Wt, axis=-1) + np.sum(Vth * Wth, axis=-1)
-    interior = float(wt @ np.sum(dens, axis=1)) * wth
-
-    boundary = 0.0
-    for tb, Vc, Wc in zip(circles, Vb, Wb):
-        boundary += float(np.sum(np.sum(Vc * Wc, axis=-1) * surface.boundary_speed(tb))) * wth
-
-    return surface.quotient_factor * (interior - boundary)
+    interior = surface.grid_integral(np.sum(Vt * Wt, axis=-1) + np.sum(Vth * Wth, axis=-1))
+    return interior - surface.boundary_integral(np.sum(Vb * Wb, axis=-1))
 
 
 def area_length_report(surface: ParametricSurface) -> FormReport:

@@ -277,11 +277,3 @@ def test_multiplicity_check_inputs():
     cf = annulus_spectrum(1.3, 0.8, 4)
     mult, bound, ok = multiplicity_check(cf, 1, 0)
     assert (mult, bound, ok) == (1, 3, True)
-
-
-def test_to_json():
-    spec = steklov_spectrum(DISK, UNIFORM1, M=8, n_eigs=4)
-    doc = spec.to_json()
-    assert doc["eigenvalues"][0] == 0.0
-    assert doc["clusters"][0] == [0]
-    assert abs(doc["sigma1L"] - 2 * math.pi) < 1e-9

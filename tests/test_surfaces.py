@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from steklov_lab.closedform import critical_parameter
+from steklov_lab.spectral1d import diff_matrix, fourier_diff
 from steklov_lab.surfaces import (
     BoundaryTangencyViolated,
     ParametricSurface,
@@ -77,14 +78,24 @@ def test_first_variation_identity(catenoid, moebius):
 
 
 def test_grid_change_resamples_cached_fields():
-    # every cached field is keyed by the grid, so a regridded surface
-    # integrates on its new grid
+    # every cached field (the sampled derivatives, the arc-length table and
+    # the t differentiation matrix) is keyed by the grid, so a regridded
+    # surface integrates on its new grid
+    e3 = np.array([0.0, 0.0, 1.0])
     surf = critical_catenoid()
     fine = surf.area()
+    fine_length = surf.boundary_length()
+    fine_S = index_form_S(surf, normal_part(surf, e3))
     surf.grid = (32, 128)
+    fresh = critical_catenoid(grid=(32, 128))
     coarse = surf.area()
-    assert coarse == critical_catenoid(grid=(32, 128)).area()
+    assert coarse == fresh.area()
     assert abs(coarse - fine) < 1e-12 * fine
+    assert surf.boundary_length() == fresh.boundary_length()
+    assert abs(surf.boundary_length() - fine_length) < 1e-12 * fine_length
+    coarse_S = index_form_S(surf, normal_part(surf, e3))
+    assert coarse_S == index_form_S(fresh, normal_part(fresh, e3))
+    assert abs(coarse_S - fine_S) < 1e-8 * abs(fine_S)
 
 
 def test_flat_disk_area():
@@ -165,6 +176,131 @@ def test_energy_form_rejects_non_tangent(catenoid):
         np.broadcast(np.asarray(t), np.asarray(h)).shape + (3,)))
     with pytest.raises(BoundaryTangencyViolated):
         energy_form_Q(catenoid, bad, bad)
+
+
+# -- the per-circle loops that the boundary table replaced, kept as a reference
+
+
+def _circles(surface):
+    """(t value, outward sign of d/dt) of each boundary circle."""
+    if surface.topology == "disk":
+        return [(surface.T, 1.0)]
+    return [(surface.T, 1.0), (-surface.T, -1.0)]
+
+
+def _on_circle(surface, fn, tb):
+    _, _, th, _ = surface.nodes()
+    return fn(np.full_like(th, tb), th)
+
+
+def _circle_integral(surface, integrand):
+    """Sum over the circles of int integrand(tb) ds, one circle at a time."""
+    _, _, _, wth = surface.nodes()
+    total = 0.0
+    for tb, _sign in _circles(surface):
+        speed = np.linalg.norm(_on_circle(surface, surface.phi_theta, tb), axis=-1)
+        total += float(np.sum(integrand(tb) * speed)) * wth
+    return total
+
+
+def _grid_quadrature(surface, f):
+    _, wt, _, wth = surface.nodes()
+    return float(wt @ np.sum(f, axis=1)) * wth
+
+
+def _grid_d(surface, Fg):
+    D = diff_matrix(surface.nodes()[0])
+    return np.einsum("ij,jkl->ikl", D, Fg), fourier_diff(Fg, axis=1)
+
+
+def _reference_boundary_residuals(surface):
+    sphere = conormal = eigen = 0.0
+    for tb, sign in _circles(surface):
+        x = _on_circle(surface, surface.phi, tb)
+        dpt = _on_circle(surface, surface.phi_t, tb)
+        lam = np.linalg.norm(dpt, axis=-1, keepdims=True)
+        eta = sign * dpt / lam
+        sphere = max(sphere, float(np.max(np.abs(1.0 - np.linalg.norm(x, axis=-1)))))
+        conormal = max(conormal, float(np.max(np.linalg.norm(
+            eta - x / np.linalg.norm(x, axis=-1, keepdims=True), axis=-1))))
+        eigen = max(eigen, float(np.max(np.linalg.norm(sign * dpt / lam - x, axis=-1))))
+    return {"boundary_unit_sphere": sphere, "conormal_radial": conormal, "eigenfunction": eigen}
+
+
+def _reference_S(surface, W):
+    pt, pth = surface.first_derivatives()
+    lam2 = np.sum(pt**2, axis=-1)
+    lam = np.sqrt(lam2)
+    e1 = pt / lam[..., None]
+    e2 = pth / np.linalg.norm(pth, axis=-1, keepdims=True)
+    Wg = surface.sample(W)
+    grad_perp_sq = np.zeros_like(lam2)
+    for dW in _grid_d(surface, Wg):
+        d = dW / lam[..., None]
+        d = d - np.sum(d * e1, axis=-1, keepdims=True) * e1
+        d = d - np.sum(d * e2, axis=-1, keepdims=True) * e2
+        grad_perp_sq += np.sum(d**2, axis=-1)
+    a11, a12, a22 = (np.sum(surface.sample(f) * Wg, axis=-1) / lam2 for f in
+                     (surface.phi_tt, surface.phi_ttheta, surface.phi_thetatheta))
+    shape_sq = a11**2 + 2.0 * a12**2 + a22**2
+    interior = _grid_quadrature(surface, (grad_perp_sq - shape_sq) * lam2)
+    boundary = _circle_integral(
+        surface, lambda tb: np.sum(_on_circle(surface, W, tb) ** 2, axis=-1))
+    return surface.quotient_factor * (interior - boundary)
+
+
+def _reference_S_boundary(surface, v):
+    return surface.quotient_factor * _circle_integral(
+        surface, lambda tb: -1.0 + 2.0 * (_on_circle(surface, surface.phi, tb) @ v) ** 2)
+
+
+def _reference_Q(surface, V, W):
+    Vt, Vth = _grid_d(surface, surface.sample(V))
+    Wt, Wth = _grid_d(surface, surface.sample(W))
+    dens = np.sum(Vt * Wt, axis=-1) + np.sum(Vth * Wth, axis=-1)
+    boundary = _circle_integral(surface, lambda tb: np.sum(
+        _on_circle(surface, V, tb) * _on_circle(surface, W, tb), axis=-1))
+    return surface.quotient_factor * (_grid_quadrature(surface, dens) - boundary)
+
+
+def _tangent_field(surface, a):
+    """f phi_theta + g phi_t with g = 0 on |t| = T: tangent to the sphere there."""
+    T = surface.T
+
+    def Y(t, h):
+        t = np.asarray(t, dtype=float)
+        h = np.asarray(h, dtype=float)
+        f = a[0] + a[1] * np.cos(h) + a[2] * np.sin(h) + a[3] * (t / T)
+        g = (1.0 - (t / T) ** 2) * (a[4] + a[5] * np.cos(h))
+        return f[..., None] * surface.phi_theta(t, h) + g[..., None] * surface.phi_t(t, h)
+
+    return Y
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_boundary_table_matches_per_circle_reference(name):
+    surf = surface_by_name(name)
+    rng = np.random.default_rng(7)
+    v = rng.normal(size=surf.n)
+    v /= np.linalg.norm(v)
+    W = normal_part(surf, v)
+    X = VariationField(lambda t, h: surf.phi_theta(t, h))
+    Y = VariationField(_tangent_field(surf, rng.normal(size=6)))
+
+    assert surf.boundary_length() == surf.quotient_factor * _circle_integral(surf, lambda tb: 1.0)
+    res = verify_minimal_free_boundary(surf)
+    for key, value in _reference_boundary_residuals(surf).items():
+        assert res[key] == value, key
+    assert index_form_S(surf, W) == _reference_S(surf, W)
+    assert index_form_boundary(surf, v) == _reference_S_boundary(surf, v)
+    assert energy_form_Q(surf, X, Y) == _reference_Q(surf, X, Y)
+    assert energy_form_Q(surf, Y, Y) == _reference_Q(surf, Y, Y)
+
+    def bump(t, h):  # ignores theta
+        return (1.0 - np.asarray(t) ** 2 / surf.T**2)[..., None] * v
+
+    n_circles = 1 if surf.topology == "disk" else 2
+    assert surf.sample_boundary(bump).shape == (n_circles, surf.grid[1], surf.n)
 
 
 def _finite_difference_surface(surface, h1=1e-6, h2=2e-4, grid=(256, 256)):

@@ -2,10 +2,10 @@
 
 ``steklov_spectrum`` assembles the harmonic-basis matrices and solves the
 generalized symmetric problem ``A x = sigma B x`` on the complement of the
-constant with zero weighted boundary mean: the Dirichlet block of the
-non-constant elements is factored by Cholesky, the weighted mean is
-subtracted from the mass block (which deflates the constant exactly), and the
-problem is whitened to a standard one whose eigenvalues are 1 / sigma.
+constant with zero weighted boundary mean: the weighted mean is subtracted
+from the mass block of the non-constant elements (which deflates the constant
+exactly), and one generalized symmetric eigensolve against their Dirichlet
+block gives the eigenvalues 1 / sigma.
 sigma_0 = 0 is returned with the constant eigenvector.  All returned
 eigenvalues are Rayleigh-Ritz upper bounds of the true Steklov eigenvalues
 and decrease as the degree M grows.
@@ -113,11 +113,12 @@ def solve_eigensystem(
 
     Because element 0 is the constant, A[0] = 0 and B[0] = m.  With L = m[0]
     and primes marking the non-constant block, the problem on {m . x = 0} is
-    A' x' = sigma (B' - m' m'^T / L) x'.  A' = R^T R is positive definite, so
-    it is solved as the standard problem C y = mu y with
-    C = R^-T (B' - m' m'^T / L) R^-1 and sigma = 1 / mu.  Directions with
-    mu <= (n - 1) eps mu_max carry no boundary mass and are dropped; a
-    Dirichlet block that is not positive definite raises LinAlgError.
+    A' x' = sigma (B' - m' m'^T / L) x'.  A' is positive definite, so it is
+    solved as (B' - m' m'^T / L) z = mu A' z with sigma = 1 / mu, and
+    x' = z / sqrt(mu) is B-orthonormal.  Directions with mu <= (n - 1) eps
+    mu_max carry no boundary mass and are dropped; a Dirichlet block that is
+    not positive definite raises LinAlgError, and a non-finite entry of A' or
+    B' raises ValueError.
     """
     n = A.shape[0]
     L_total = float(m[0])  # m against the constant element is the weighted length
@@ -125,20 +126,15 @@ def solve_eigensystem(
         raise MassMatrixDegenerate(f"weighted boundary length {L_total} is not positive")
 
     mp = m[1:]
-    R = sla.cholesky(A[1:, 1:])
     S = B[1:, 1:] - np.outer(mp, mp) / L_total
-    Ci = sla.solve_triangular(R, S, trans="T")
-    C = sla.solve_triangular(R, Ci.T, trans="T").T
-    C = 0.5 * (C + C.T)
-
-    # deterministic symmetric eigensolver (tridiagonalize + implicit shifts)
-    mu, Y = sla.eigh(C, driver="ev")
-    mu, Y = mu[::-1], Y[:, ::-1]
+    # LAPACK sygvd: Cholesky of A', reduction, divide and conquer; Z^T A' Z = I
+    mu, Z = sla.eigh(S, A[1:, 1:], driver="gvd")
+    mu, Z = mu[::-1], Z[:, ::-1]
     kept = int(np.count_nonzero(mu > (n - 1) * np.finfo(float).eps * abs(mu[0])))
 
     want = kept + 1 if n_eigs is None else min(n_eigs, kept + 1)
     mu = mu[: want - 1]
-    X = sla.solve_triangular(R, Y[:, : want - 1]) / np.sqrt(mu)
+    X = Z[:, : want - 1] / np.sqrt(mu)
     vals = np.concatenate(([0.0], 1.0 / mu))
     vecs = np.zeros((n, want))
     vecs[0, 0] = 1.0 / np.sqrt(L_total)

@@ -154,6 +154,66 @@ def test_matches_dense_generalized_reference():
     assert abs(spec.boundary_length - as_samples(dom, dens).total_mass()) < 1e-10
 
 
+def _cholesky_reference(A, B, m):
+    """The explicit path: Cholesky of A', whitening, QR-iteration eigh, back-substitution.
+
+    Returns (eigenvalues with sigma_0 = 0, eigenvectors in full basis
+    coordinates, number of dropped directions).
+    """
+    n = A.shape[0]
+    L = float(m[0])
+    mp = m[1:]
+    R = sla.cholesky(A[1:, 1:])
+    S = B[1:, 1:] - np.outer(mp, mp) / L
+    Ci = sla.solve_triangular(R, S, trans="T")
+    C = sla.solve_triangular(R, Ci.T, trans="T").T
+    mu, Y = sla.eigh(0.5 * (C + C.T), driver="ev")
+    mu, Y = mu[::-1], Y[:, ::-1]
+    kept = int(np.count_nonzero(mu > (n - 1) * np.finfo(float).eps * abs(mu[0])))
+    mu = mu[:kept]
+    X = sla.solve_triangular(R, Y[:, :kept]) / np.sqrt(mu)
+    vecs = np.zeros((n, kept + 1))
+    vecs[0, 0] = 1.0 / np.sqrt(L)
+    vecs[0, 1:] = -(mp @ X) / L
+    vecs[1:, 1:] = X
+    return np.concatenate(([0.0], 1.0 / mu)), vecs, n - 1 - kept
+
+
+def test_matches_cholesky_reference_on_seeded_domains():
+    for i in range(40):
+        k, M = 2 + i % 4, (12, 24, 48)[(i // 4) % 3]
+        dom, dens = _seeded_weighted_domain(100 + i, k)
+        basis = build_basis(dom, M)
+        mats = boundary_matrices(basis, as_samples(dom, dens, basis.n_quad))
+        A, B, m = mats.A, mats.B, mats.m
+        ref_vals, ref_vecs, ref_dropped = _cholesky_reference(A, B, m)
+        spec = solve_eigensystem(A, B, m)
+        vals, V = spec.eigenvalues, spec.eigenvectors
+        assert spec.metadata["dropped"] == ref_dropped
+        assert spec.metadata["rank"] == ref_vals.size == vals.size
+        assert vals[0] == 0.0
+        assert np.max(np.abs(vals[1:] / ref_vals[1:] - 1.0)) < 1e-10
+        assert np.max(np.abs(V.T @ B @ V - np.eye(vals.size))) < 1e-10
+        assert np.max(np.abs(V.T @ A @ V - np.diag(vals))) < 1e-10 * vals[-1]
+        # degenerate clusters may come back in another basis, so compare each
+        # cluster's span: the B-norm of what the reference span misses.  The
+        # highest Ritz pairs (mu = 1 / sigma far below mu_max) are resolved
+        # only to about eps * mu_max / gap, some 1e-9.
+        for c in spec.clusters:
+            W = ref_vecs[:, c]
+            E = V[:, c] - W @ (W.T @ B @ V[:, c])
+            assert np.sqrt(np.max(np.abs(np.diag(E.T @ B @ E)))) < 1e-8
+
+
+@pytest.mark.parametrize("where", ["A", "B"])
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_non_finite_input_raises(where, bad):
+    mats = {"A": np.diag([0.0, 2.0, 3.0]), "B": np.eye(3)}
+    mats[where][1, 2] = mats[where][2, 1] = bad
+    with pytest.raises(ValueError):
+        solve_eigensystem(mats["A"], mats["B"], np.array([1.0, 0.0, 0.0]))
+
+
 def _circumcircle(a, b, c):
     """Center and radius of the circle through three complex points."""
     center = (

@@ -47,7 +47,7 @@ class HarmonicBasis:
 
     Element order: constant; (Re z^m, Im z^m) for m = 1..M; then per hole
     log|z-c_j| followed by (Re w^m, Im w^m) with w = r_j/(z-c_j).  Size is
-    1 + 2M + holes*(1 + 2M).
+    1 + 2M + holes*(1 + 2M) = k*(2M + 1) for k boundary circles.
     """
 
     def __init__(self, domain: CircleDomain, M: int):
@@ -57,23 +57,12 @@ class HarmonicBasis:
         self.domain = domain
         self.M = M
         self.n_quad = _quad_size(M)
-        # (kind, j, m, part):  kind in {const, outer, hole_log, hole}; part 0=Re 1=Im
-        elements = [("const", -1, 0, 0)]
-        for m in range(1, M + 1):
-            elements.append(("outer", -1, m, 0))
-            elements.append(("outer", -1, m, 1))
-        for j in range(len(domain.holes)):
-            elements.append(("hole_log", j, 0, 0))
-            for m in range(1, M + 1):
-                elements.append(("hole", j, m, 0))
-                elements.append(("hole", j, m, 1))
-        self.elements = elements
         self._boundary_tables: tuple[np.ndarray, np.ndarray] | None = None
         self._dirichlet: np.ndarray | None = None
 
     @property
     def size(self) -> int:
-        return len(self.elements)
+        return self.domain.k * (2 * self.M + 1)
 
     def thetas(self) -> np.ndarray:
         return 2.0 * math.pi * np.arange(self.n_quad) / self.n_quad

@@ -9,9 +9,9 @@ deterministic: with the same code, the same manifest produces byte-identical
 files on the same machine and BLAS library.  BLAS runs on one thread unless
 OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS is set; the thread
 count can move the last digits of eigenvalues, so the manifest hash records
-it (k=2 of ``sweep --k 2,3 --budget 20`` is 6.571530106711585 with one
-thread, 6.571530106711584 with OPENBLAS_NUM_THREADS=2, under different
-hashes).
+it (k=2 of ``sweep --k 2,3 --budget 20 --out sweep.csv`` is
+6.571530106711584 under hash 2af83fe76915424b with one thread and
+6.5715301067115846 under be0dba71d4255ef4 with OPENBLAS_NUM_THREADS=2).
 """
 
 from __future__ import annotations
@@ -171,7 +171,7 @@ def _domain_from(args) -> CircleDomain:
 # -- command handlers ---------------------------------------------------------
 
 
-def _cmd_spectrum(args) -> tuple[RunManifest, None]:
+def _cmd_spectrum(args) -> RunManifest:
     if args.eigs < 1:
         raise BadFlag(f"--eigs must be at least 1, got {args.eigs}")
     man = RunManifest(
@@ -198,10 +198,10 @@ def _cmd_spectrum(args) -> tuple[RunManifest, None]:
         "modes": args.modes,
     }
     _write_json(args.out, man, payload)
-    return man, None
+    return man
 
 
-def _cmd_closedform(args) -> tuple[RunManifest, None]:
+def _cmd_closedform(args) -> RunManifest:
     man = RunManifest(
         "closedform",
         {
@@ -234,10 +234,10 @@ def _cmd_closedform(args) -> tuple[RunManifest, None]:
             for e in spec.entries
         ]
     _write_json(args.out, man, payload)
-    return man, None
+    return man
 
 
-def _cmd_maximize(args) -> tuple[RunManifest, None]:
+def _cmd_maximize(args) -> RunManifest:
     man = RunManifest(
         "maximize",
         {
@@ -278,10 +278,10 @@ def _cmd_maximize(args) -> tuple[RunManifest, None]:
             "eigenspace_too_small": cert.eigenspace_too_small,
         }
     _write_json(args.out, man, payload)
-    return man, None
+    return man
 
 
-def _cmd_sweep(args) -> tuple[RunManifest, None]:
+def _cmd_sweep(args) -> RunManifest:
     try:
         ks = [int(s) for s in args.k.split(",") if s.strip()]
     except ValueError:
@@ -304,10 +304,10 @@ def _cmd_sweep(args) -> tuple[RunManifest, None]:
         for e in entries
     ]
     _write_csv(args.out, man, ["k", "value", "flags"], rows)
-    return man, None
+    return man
 
 
-def _cmd_surface_verify(args) -> tuple[RunManifest, None]:
+def _cmd_surface_verify(args) -> RunManifest:
     grid = _parse_grid(args.grid)
     man = RunManifest(
         "surface verify",
@@ -326,7 +326,7 @@ def _cmd_surface_verify(args) -> tuple[RunManifest, None]:
         "sigma1_L": report.boundary_length,
     }
     _write_json(args.out, man, payload)
-    return man, None
+    return man
 
 
 def _parse_grid(spec: str) -> tuple[int, int]:
@@ -340,7 +340,7 @@ def _parse_grid(spec: str) -> tuple[int, int]:
     return nt, ntheta
 
 
-def _cmd_dbar_demo(args) -> tuple[RunManifest, None]:
+def _cmd_dbar_demo(args) -> RunManifest:
     man = RunManifest(
         "dbar demo",
         {
@@ -372,10 +372,10 @@ def _cmd_dbar_demo(args) -> tuple[RunManifest, None]:
         payload["tail_truncation"] = sol.tail_truncation
         payload["conditioning"] = sol.conditioning
     _write_json(args.out, man, payload)
-    return man, None
+    return man
 
 
-def _cmd_export_obj(args) -> tuple[RunManifest, None]:
+def _cmd_export_obj(args) -> RunManifest:
     if args.nt < 2 or args.ntheta < 3:
         raise BadFlag(f"--nt must be at least 2 and --ntheta at least 3, "
                       f"got {args.nt} and {args.ntheta}")
@@ -386,7 +386,7 @@ def _cmd_export_obj(args) -> tuple[RunManifest, None]:
     surf = surface_by_name(args.which)
     body = export_obj(surf, nt=args.nt, ntheta=args.ntheta)
     _write_obj(args.out, man, body)
-    return man, None
+    return man
 
 
 # -- parser -------------------------------------------------------------------
@@ -478,7 +478,7 @@ def dispatch(argv) -> int:
             sub = args.command
             raise UnknownCommand(f"{sub} needs a subcommand; see {sub} --help")
         start = time.perf_counter()
-        man, _ = args.func(args)
+        man = args.func(args)
         man.timing = time.perf_counter() - start
         _append_log(man)
         return 0

@@ -302,13 +302,14 @@ def _complement(unit: np.ndarray) -> np.ndarray:
     return np.delete(H, k, axis=1)
 
 
-def conformal_field_space(surface: ParametricSurface, svd_tol: float = 1e-8) -> ConformalFieldSpace:
+def conformal_field_space(surface: ParametricSurface) -> ConformalFieldSpace:
     """Normal-component candidates {nu.e_i} and x.nu with their admissibility.
 
     Each candidate is normalized to unit L2 norm over the surface (degenerate
     candidates are kept with zero normalization and excluded from the count
-    dim_C).  The kernel of the 1 x m constraint row below ``svd_tol`` spans
-    the normal components for which build_conformal_variation is solvable.
+    dim_C).  The kernel of the 1 x m constraint row (every candidate when
+    the row's norm is at most 1e-8) spans the normal components for which
+    build_conformal_variation is solvable.
     Gram matrix and constraint row each come from one quadrature of the
     sampled candidate table, since both are (bi)linear in the candidates.
     """
@@ -337,7 +338,7 @@ def conformal_field_space(surface: ParametricSurface, svd_tol: float = 1e-8) -> 
     re_k = surface.sample(lambda t, theta: _shape_weight(surface, t, theta).real)
     constraint = scale * np.einsum("ij,ija->a", weights * re_k, table, optimize=True)
     row_norm = np.linalg.norm(constraint)
-    if row_norm <= svd_tol:
+    if row_norm <= 1e-8:
         kernel = np.eye(len(labels))
     else:
         kernel = _complement(constraint / row_norm)
@@ -362,17 +363,16 @@ class ConformalVariation:
     boundary_tangency: float
 
 
-def build_conformal_variation(
-    surface: ParametricSurface, psi, *, nt=128, ntheta=128,
-) -> ConformalVariation:
+def build_conformal_variation(surface: ParametricSurface, psi) -> ConformalVariation:
     """Solve for the tangential part making Y = Y_tan + psi*nu conformal.
 
     psi must satisfy the compatibility condition (use conformal_field_space);
     Unsolvable propagates otherwise.  The returned field satisfies x . Y = 0
     along the boundary because Re f = 0 there, and carries the sup-norm
-    conformality residuals measured on the surface grid.
+    conformality residuals measured on the surface grid.  The d-bar problem
+    is solved on cylinder_problem's default 128 x 128 grid.
     """
-    problem = cylinder_problem(surface.T, _compat_rhs(surface, psi), nt=nt, ntheta=ntheta)
+    problem = cylinder_problem(surface.T, _compat_rhs(surface, psi))
     sol = solve_dbar(problem)
 
     def Y_fn(t, theta):

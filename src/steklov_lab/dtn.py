@@ -179,13 +179,13 @@ def multiplicity_bound(i: int, gamma: int, orientable: bool = True) -> int:
 
 
 def multiplicity_check(
-    spectrum, i: int, gamma: int, orientable: bool = True, *,
-    cluster_tol: float = CLUSTER_TOL,
+    spectrum, i: int, gamma: int, orientable: bool = True,
 ) -> tuple[int, int, bool]:
     """(multiplicity of sigma_i, bound, within_bound) for a computed spectrum.
 
     Accepts a SteklovSpectrum, a ClosedFormSpectrum, or a plain sequence of
-    eigenvalues in nondecreasing order (sigma_0 first).
+    eigenvalues in nondecreasing order (sigma_0 first); the latter two are
+    clustered at CLUSTER_TOL.
     """
     if hasattr(spectrum, "cluster_of"):
         mult = spectrum.multiplicity(i)
@@ -196,7 +196,7 @@ def multiplicity_check(
         )
         if not (0 <= i < len(vals)):
             raise IndexOutOfRange(f"eigenvalue index {i} out of range")
-        clusters = _cluster(vals, cluster_tol)
+        clusters = _cluster(vals, CLUSTER_TOL)
         mult = next(len(c) for c in clusters if i in c)
     bound = multiplicity_bound(i, gamma, orientable)
     return mult, bound, mult <= bound

@@ -38,6 +38,19 @@ REL_IMPROVE_TOL = 1e-9
 # the eigenvalue derivative vanishes for every weight perturbation, so the
 # smallest cluster member cannot be raised to first order
 GRAD_TOL = 1e-9
+# relative width of the band above sigma_1 whose eigenvectors are lifted
+# jointly by the ascent and fitted jointly by the phase residual
+NEAR_WIDTH = 1e-2
+# configuration search: each probe is a short ascent at degree PROBE_M over
+# PROBE_SCHEDULE; the simplex stops after NM_ITERS steps or once its values
+# agree to NM_FTOL (relative) or its vertices to NM_XTOL
+PROBE_M = 12
+PROBE_SCHEDULE = (3e-2, 1e-3)
+PROBE_ITERS = 8
+PROBE_REL_TOL = 1e-7
+NM_ITERS = 60
+NM_FTOL = 1e-7
+NM_XTOL = 1e-5
 
 
 class BudgetExhausted(RuntimeError):
@@ -59,10 +72,6 @@ class EigensolveBudget:
         self.used += 1
 
     @property
-    def remaining(self) -> int:
-        return self.limit - self.used
-
-    @property
     def exhausted(self) -> bool:
         return self.used >= self.limit
 
@@ -71,23 +80,30 @@ class EigensolveBudget:
 class AscentState:
     """Outcome of a weight ascent on a fixed domain.
 
-    trace holds (iteration, eps, value) rows; within one smoothing level the
-    values are nondecreasing because steps are only accepted on improvement.
-    phase_residuals records the boundary certificate residual at the end of
-    each smoothing level.
+    spectrum is the spectrum of density, the weight at smoothing level eps;
+    value and eigenspace are read from it.  trace holds (iteration, eps,
+    value) rows; within one smoothing level the values are nondecreasing
+    because steps are only accepted on improvement.  phase_residuals records
+    the boundary certificate residual at the end of each smoothing level.
     """
 
     domain: CircleDomain
     density: BoundaryMeasureSamples
     eps: float
-    value: float
+    spectrum: SteklovSpectrum
     trace: list = field(default_factory=list)
-    spectrum: SteklovSpectrum | None = None
-    eigenspace: np.ndarray | None = None
     stalled: bool = False
     budget_exhausted: bool = False
     eigensolves: int = 0
     phase_residuals: list = field(default_factory=list)
+
+    @property
+    def value(self) -> float:
+        return self.spectrum.sigma1_L
+
+    @property
+    def eigenspace(self) -> np.ndarray:
+        return self.spectrum.eigenvectors[:, self.spectrum.cluster_of(1)]
 
 
 @dataclass
@@ -103,12 +119,23 @@ class Certificate:
 
 @dataclass
 class ConfigurationResult:
-    domain: CircleDomain
-    density: BoundaryMeasureSamples
-    value: float
+    """The winning ascent of a configuration search and the search's totals."""
+
     state: AscentState
     eigensolves: int = 0
     budget_exhausted: bool = False
+
+    @property
+    def domain(self) -> CircleDomain:
+        return self.state.domain
+
+    @property
+    def density(self) -> BoundaryMeasureSamples:
+        return self.state.density
+
+    @property
+    def value(self) -> float:
+        return self.state.value
 
 
 @dataclass
@@ -144,12 +171,12 @@ def _boundary_traces(basis: HarmonicBasis, cols: np.ndarray) -> np.ndarray:
 # -- inner ascent -------------------------------------------------------------
 
 
-def _cluster_directions(basis, samples, spec, near_width=1e-2):
+def _cluster_directions(basis, samples, spec):
     """Candidate ascent directions at sigma_1, sup-normalized.
 
     Averaging the squared eigenfunctions over a group of eigenvalues gives a
     direction independent of the basis chosen inside it; it is built twice,
-    once over every eigenvalue within near_width of sigma_1 (so branches
+    once over every eigenvalue within NEAR_WIDTH of sigma_1 (so branches
     about to cross are lifted jointly) and once over the strict cluster,
     whose members follow individually as fallbacks.  Empty return means
     stationary.  With a strict cluster of size > 1 a negligible averaged
@@ -171,7 +198,7 @@ def _cluster_directions(basis, samples, spec, near_width=1e-2):
     if strict.shape[1] > 1 and sup_strict <= tiny:
         return []
     dirs = []
-    near = _near_cluster(spec, near_width)
+    near = _near_cluster(spec, NEAR_WIDTH)
     if near.shape[1] > strict.shape[1]:
         g_near, sup_near, _ = averaged(near)
         if sup_near > tiny:
@@ -244,9 +271,7 @@ def _boundary_fit(basis, samples, cols, dzu=None):
 
 def optimize_density(domain, init_density, eps_schedule=EPS_SCHEDULE,
                      max_iters: int = 40, *, M: int = 16,
-                     basis: HarmonicBasis | None = None,
-                     budget: EigensolveBudget | None = None,
-                     cluster_tol: float = 1e-6, halvings: int = 24,
+                     budget: EigensolveBudget | None = None, halvings: int = 24,
                      rel_tol: float = REL_IMPROVE_TOL) -> AscentState:
     """Monotone ascent of sigma_1 * L over boundary weights on a fixed domain.
 
@@ -259,41 +284,35 @@ def optimize_density(domain, init_density, eps_schedule=EPS_SCHEDULE,
     sit several orders of magnitude below 1.  A level ends on stationarity,
     on relative gains below rel_tol, on max_iters, or when no candidate
     direction improves (stalled).  The budget, when given, is shared with
-    the caller and the best state so far is returned once it runs out.
+    the caller and the best state so far is returned once it runs out; a
+    level whose first solve does not fit leaves the previous level's state.
     """
     eps_schedule = tuple(float(e) for e in eps_schedule)
     if not eps_schedule or any(e <= 0.0 for e in eps_schedule):
         raise ValueError("eps_schedule must be positive")
     if any(b > a for a, b in zip(eps_schedule, eps_schedule[1:])):
         raise ValueError("eps_schedule must be nonincreasing")
-    if basis is None:
-        basis = build_basis(domain, M)
+    basis = build_basis(domain, M)
     if budget is None:
         budget = EigensolveBudget()
-    count = 0
+    used0 = budget.used
 
     def solve(d):
-        nonlocal count
         budget.take()
-        count += 1
-        return steklov_spectrum(
-            domain, d, basis.M, basis=basis, cluster_tol=cluster_tol
-        )
+        return steklov_spectrum(domain, d, M, basis=basis)
 
     dens = normalize(as_samples(domain, init_density, basis.n_quad))
     trace = []
     phase_residuals = []
     spec = None
-    value = -math.inf
-    eps_cur = eps_schedule[0]
     stalled = False
     exhausted = False
     it = 0
     try:
         for eps in eps_schedule:
-            eps_cur = eps
-            dens = normalize(heat_smooth(dens, eps))
-            spec = solve(dens)
+            smoothed = normalize(heat_smooth(dens, eps))
+            spec = solve(smoothed)
+            dens = smoothed
             value = spec.sigma1_L
             trace.append((it, eps, value))
             it += 1
@@ -333,24 +352,21 @@ def optimize_density(domain, init_density, eps_schedule=EPS_SCHEDULE,
                 if gain < rel_tol:
                     break
             stalled = phase_stalled
-            cols = _near_cluster(spec, 1e-2)
+            cols = _near_cluster(spec, NEAR_WIDTH)
             phase_residuals.append((eps, _boundary_fit(basis, dens, cols)[1]))
     except BudgetExhausted:
         exhausted = True
         if spec is None:
             raise
-    eigenspace = spec.eigenvectors[:, spec.cluster_of(1)]
     return AscentState(
         domain=domain,
         density=dens,
-        eps=eps_cur,
-        value=value,
-        trace=trace,
+        eps=trace[-1][1],
         spectrum=spec,
-        eigenspace=eigenspace,
+        trace=trace,
         stalled=stalled,
         budget_exhausted=exhausted,
-        eigensolves=count,
+        eigensolves=budget.used - used0,
         phase_residuals=phase_residuals,
     )
 
@@ -359,16 +375,15 @@ def optimize_density(domain, init_density, eps_schedule=EPS_SCHEDULE,
 
 
 def extremality_certificate(domain, density, eigenspace, *, M: int = 16,
-                            basis: HarmonicBasis | None = None,
-                            interior_grid=(64, 64),
-                            margin: float = 1e-3) -> Certificate:
+                            basis: HarmonicBasis | None = None) -> Certificate:
     """Certificate of extremality for a candidate sigma_1 eigenspace.
 
     Fits the best positive semidefinite quadratic form making the squared
     eigenfunctions sum to one against the boundary measure, breaking any
     boundary-data tie by the interior conformality defect, then reports the
     boundary sup residual and the largest Hopf differential magnitude
-    2 |sum_ab C_ab df_a/dz df_b/dz| over an interior polar grid.  A space of
+    2 |sum_ab C_ab df_a/dz df_b/dz| over an interior polar grid (64 radii by
+    64 angles, points within 1e-3 of a hole dropped).  A space of
     dimension < 2 cannot certify anything; this is flagged, not raised.
     """
     if basis is None:
@@ -379,11 +394,10 @@ def extremality_certificate(domain, density, eigenspace, *, M: int = 16,
         cols = cols[:, None]
     too_small = cols.shape[1] < 2
 
-    nr, nth = interior_grid
-    r = (np.arange(nr) + 0.5) / nr
-    th = 2.0 * math.pi * np.arange(nth) / nth
+    r = (np.arange(64) + 0.5) / 64
+    th = 2.0 * math.pi * np.arange(64) / 64
     z = np.ravel(r[:, None] * np.exp(1j * th)[None, :])
-    z = z[domain.contains(z, margin)]
+    z = z[domain.contains(z, 1e-3)]
     dzu = basis.dz_at(z, cols) if z.size else None
     C, res_b, n_indep = _boundary_fit(basis, samples, cols, dzu=dzu)
     if dzu is not None:
@@ -441,9 +455,11 @@ def _violation(holes) -> float:
     return v
 
 
-def _nelder_mead_max(f, x0, steps, max_iters: int, *,
-                     ftol: float = 1e-7, xtol: float = 1e-5):
-    """Plain simplex maximization; f may raise BudgetExhausted to stop it."""
+def _nelder_mead_max(f, x0, steps, max_iters: int) -> None:
+    """Plain simplex maximization; f may raise BudgetExhausted to stop it.
+
+    Nothing is returned: f is expected to record the best point it sees.
+    """
     x0 = np.asarray(x0, dtype=float)
     dim = len(x0)
     pts = [x0.copy()]
@@ -456,9 +472,9 @@ def _nelder_mead_max(f, x0, steps, max_iters: int, *,
         order = sorted(range(dim + 1), key=lambda i: -vals[i])
         pts = [pts[i] for i in order]
         vals = [vals[i] for i in order]
-        if vals[0] - vals[-1] <= ftol * (1.0 + abs(vals[0])):
+        if vals[0] - vals[-1] <= NM_FTOL * (1.0 + abs(vals[0])):
             break
-        if max(np.max(np.abs(p - pts[0])) for p in pts[1:]) <= xtol:
+        if max(np.max(np.abs(p - pts[0])) for p in pts[1:]) <= NM_XTOL:
             break
         centroid = np.mean(pts[:-1], axis=0)
         xr = centroid + (centroid - pts[-1])
@@ -481,28 +497,21 @@ def _nelder_mead_max(f, x0, steps, max_iters: int, *,
                 for i in range(1, dim + 1):
                     pts[i] = pts[0] + 0.5 * (pts[i] - pts[0])
                     vals[i] = f(pts[i])
-    order = sorted(range(dim + 1), key=lambda i: -vals[i])
-    return pts[order[0]], vals[order[0]]
 
 
-def optimize_configuration(k: int, symmetry="cyclic", budget=6000, *,
-                           M: int = 16, probe_M: int = 12,
-                           probe_schedule=(3e-2, 1e-3), probe_iters: int = 8,
-                           probe_rel_tol: float = 1e-7, nm_iters: int = 60,
-                           polish_schedule=EPS_SCHEDULE,
-                           polish_iters: int = 40) -> ConfigurationResult:
+def optimize_configuration(k: int, symmetry="cyclic", budget=6000) -> ConfigurationResult:
     """Search hole layouts for the largest sigma_1 * L with k boundary circles.
 
     Under cyclic symmetry the k - 1 holes sit on a concentric ring at equal
     angles, leaving two parameters; without symmetry the first hole is
     rotated onto the positive axis and every center and radius is free.
-    Each probe runs a cheap weight ascent; the winner is polished with the
-    full smoothing schedule.  The value returned is the Rayleigh-Ritz
-    sigma_1 * L of the returned weight at the degree it was computed with
-    (``probe_M`` when the polish does not beat the best probe, else ``M``).
-    Ritz values bound the true eigenvalue from above, so it is an upper
-    estimate for the returned weight, not a certified lower bound for the
-    supremum.
+    Each probe runs a cheap weight ascent; the winner is polished by the
+    default ascent of optimize_density.  The value returned is the
+    Rayleigh-Ritz sigma_1 * L of the returned weight at the degree it was
+    computed with (PROBE_M when the polish does not beat the best probe,
+    else 16).  Ritz values bound the true eigenvalue from above, so it is an
+    upper estimate for the returned weight, not a certified lower bound for
+    the supremum.
     """
     if k < 2:
         raise ValueError("configuration search needs k >= 2")
@@ -516,9 +525,10 @@ def optimize_configuration(k: int, symmetry="cyclic", budget=6000, *,
             ang = 2.0 * math.pi * j / (k - 1)
             x0 += [0.55 * math.cos(ang), 0.55 * math.sin(ang), 0.25 / k]
             steps += [-0.1, -0.1, -0.04]
-    best = {"value": -math.inf, "domain": None, "state": None}
+    best = None
 
     def probe(p):
+        nonlocal best
         holes = _holes_for(sym, k, p)
         v = _violation(holes)
         if v > 0.0:
@@ -530,36 +540,31 @@ def optimize_configuration(k: int, symmetry="cyclic", budget=6000, *,
         if bud.exhausted:
             raise BudgetExhausted("no eigensolves left for probe")
         st = optimize_density(
-            dom, BoundaryDensity.uniform(dom.k), probe_schedule, probe_iters,
-            M=probe_M, budget=bud, halvings=6, rel_tol=probe_rel_tol,
+            dom, BoundaryDensity.uniform(dom.k), PROBE_SCHEDULE, PROBE_ITERS,
+            M=PROBE_M, budget=bud, halvings=6, rel_tol=PROBE_REL_TOL,
         )
-        if st.value > best["value"]:
-            best.update(value=st.value, domain=dom, state=st)
+        if best is None or st.value > best.value:
+            best = st
         return st.value
 
     try:
-        _nelder_mead_max(probe, x0, steps, nm_iters)
+        _nelder_mead_max(probe, x0, steps, NM_ITERS)
     except BudgetExhausted:
         pass
-    if best["domain"] is None:
+    if best is None:
         raise BudgetExhausted("budget spent before any admissible probe")
 
     if not bud.exhausted:
         try:
             polished = optimize_density(
-                best["domain"], BoundaryDensity.uniform(best["domain"].k),
-                polish_schedule, polish_iters, M=M, budget=bud,
+                best.domain, BoundaryDensity.uniform(best.domain.k), budget=bud,
             )
-            if polished.value > best["value"]:
-                best.update(value=polished.value, state=polished)
+            if polished.value > best.value:
+                best = polished
         except BudgetExhausted:
             pass
-    state = best["state"]
     return ConfigurationResult(
-        domain=best["domain"],
-        density=state.density,
-        value=best["value"],
-        state=state,
+        state=best,
         eigensolves=bud.used - used0,
         budget_exhausted=bud.exhausted,
     )
@@ -583,8 +588,7 @@ def sweep_k(k_list, symmetry="cyclic", budget: int = 6000):
                 dom, BoundaryDensity.uniform(1),
                 budget=EigensolveBudget(budget),
             )
-            res = ConfigurationResult(dom, st.density, st.value, st,
-                                      st.eigensolves, st.budget_exhausted)
+            res = ConfigurationResult(st, st.eigensolves, st.budget_exhausted)
         else:
             res = optimize_configuration(k, symmetry, budget)
         flags = [name for name, on in (("stalled", res.state.stalled),

@@ -23,15 +23,32 @@ RHO = 0.35
 ANNULUS = CircleDomain((Hole(0.0, RHO),))
 
 
+def _elements(b):
+    """(kind, j, m, part) per element in the order HarmonicBasis documents.
+
+    kind is const, outer, hole_log or hole; j the hole index (-1 for the
+    outer circle); part 0 takes the real part of w^m, 1 the imaginary part.
+    """
+    out = [("const", -1, 0, 0)]
+    for m in range(1, b.M + 1):
+        out += [("outer", -1, m, 0), ("outer", -1, m, 1)]
+    for j in range(len(b.domain.holes)):
+        out.append(("hole_log", j, 0, 0))
+        for m in range(1, b.M + 1):
+            out += [("hole", j, m, 0), ("hole", j, m, 1)]
+    return out
+
+
 def test_size_and_layout():
+    z = np.array([0.3 + 0.2j])
     b = build_basis(CircleDomain(), 4)
-    assert b.size == 9
-    assert b.elements[0] == ("const", -1, 0, 0)
-    assert b.elements[1] == ("outer", -1, 1, 0)
-    assert b.elements[2] == ("outer", -1, 1, 1)
+    assert b.size == 9 == len(_elements(b))
+    v = b.values_at(z)[:, 0]
+    assert v[0] == 1.0
+    assert abs(v[1] - z[0].real) < 1e-15 and abs(v[2] - z[0].imag) < 1e-15
     b2 = build_basis(ANNULUS, 3)
-    assert b2.size == (1 + 6) + (1 + 6)
-    assert b2.elements[7] == ("hole_log", 0, 0, 0)
+    assert b2.size == (1 + 6) + (1 + 6) == len(_elements(b2))
+    assert abs(b2.values_at(z)[7, 0] - math.log(abs(z[0]))) < 1e-15
 
 
 def test_degree_bounds():
@@ -53,7 +70,7 @@ def test_disk_dirichlet_matrix_is_exact():
     b = build_basis(CircleDomain(), M)
     A = dirichlet_matrix(b)
     expect = np.zeros(b.size)
-    for i, (kind, _, m, _) in enumerate(b.elements):
+    for i, (kind, _, m, _) in enumerate(_elements(b)):
         if kind == "outer":
             expect[i] = math.pi * m
     assert np.max(np.abs(A - np.diag(expect))) < 1e-11
@@ -66,7 +83,7 @@ def test_annulus_dirichlet_matrix_closed_form():
     b = build_basis(ANNULUS, M)
     A = dirichlet_matrix(b)
     expect = np.zeros(b.size)
-    for i, (kind, _, m, _) in enumerate(b.elements):
+    for i, (kind, _, m, _) in enumerate(_elements(b)):
         if kind in ("outer", "hole"):
             expect[i] = math.pi * m * (1.0 - RHO ** (2 * m))
         elif kind == "hole_log":
@@ -95,7 +112,7 @@ def test_mass_matrix_annulus_entries():
     M = 3
     b = build_basis(ANNULUS, M)
     mats = boundary_matrices(b, _uniform(b))
-    idx = {e: i for i, e in enumerate(b.elements)}
+    idx = {e: i for i, e in enumerate(_elements(b))}
     for m in range(1, M + 1):
         i_out = idx[("outer", -1, m, 0)]
         i_hol = idx[("hole", 0, m, 0)]
@@ -138,7 +155,7 @@ def _reference_parts(b, z):
     vals = np.empty((b.size, z.size))
     dz = np.empty((b.size, z.size), dtype=complex)
     zf = z.ravel()
-    for i, (kind, j, m, part) in enumerate(b.elements):
+    for i, (kind, j, m, part) in enumerate(_elements(b)):
         if kind == "const":
             vals[i] = 1.0
             dz[i] = 0.0
@@ -180,7 +197,7 @@ def _row_scale(b, a):
     64th roots of unity) and then holds rounding only.
     """
     s = np.max(np.abs(a), axis=1)
-    for i, (_, _, _, part) in enumerate(b.elements):
+    for i, (_, _, _, part) in enumerate(_elements(b)):
         if part == 1:
             s[i - 1] = s[i] = max(s[i - 1], s[i])
     return s[:, None]
@@ -243,7 +260,7 @@ def test_traces_scale():
     dom = CircleDomain((Hole(0.5, 0.05),))
     b = build_basis(dom, 12)
     tr = b.traces()[:, 1]
-    for i, (kind, _, m, _) in enumerate(b.elements):
+    for i, (kind, _, m, _) in enumerate(_elements(b)):
         if kind == "hole":
             assert np.max(np.abs(tr[i])) < 1.0 + 1e-12
 

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -124,6 +125,22 @@ def test_sweep_rows_follow_input_order(workdir):
     expect = sweep_k([2, 1], "cyclic", 30)
     assert [r[0] for r in rows] == ["2", "1"]
     assert [r[1] for r in rows] == [repr(float(e.value)) for e in expect]
+
+
+def test_quoted_sweep_hashes(workdir, monkeypatch):
+    # README and the module docstring quote the manifest hashes of
+    # `sweep --k 2,3 --budget 20 --out sweep.csv` under one and two BLAS
+    # threads; the manifest is the handler's own, with the thread count set
+    monkeypatch.setattr(cli, "sweep_k", lambda *a: [])
+    assert cli.dispatch(["sweep", "--k", "2,3", "--budget", "20", "--out", "sweep.csv"]) == 0
+    rec = read_log(workdir)[0]
+    fields = {k: rec[k] for k in ("command", "inputs", "version", "tolerances")}
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    texts = {"README": " ".join(readme.split()), "cli": " ".join(cli.__doc__.split())}
+    for n, words in ((1, "with one thread"), (2, "with OPENBLAS_NUM_THREADS=2")):
+        h = cli.RunManifest(**fields, blas_threads={"numpy": n, "scipy": n}).hash
+        for name, text in texts.items():
+            assert f"{h} {words}" in text.replace("`", ""), (name, n, h)
 
 
 def test_surface_verify(workdir):

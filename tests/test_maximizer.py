@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from steklov_lab import maximizer
 from steklov_lab.basis import build_basis
 from steklov_lab.closedform import critical_parameter, critical_sigma1L
 from steklov_lab.domain import (
@@ -388,13 +389,24 @@ def test_budget_exhaustion_returns_best_state():
     assert np.isfinite(st.value)
 
 
+@pytest.mark.parametrize("limit", [101, 160])
+def test_budget_out_on_level_start_keeps_attained_state(limit):
+    # the budget runs out on the first solve of a smoothing level: the
+    # returned weight, eps and value are those of the last solved state
+    st = optimize_density(DISK, BoundaryDensity(((0.0, 0.4, 0.0),)),
+                          budget=EigensolveBudget(limit))
+    assert st.budget_exhausted
+    assert steklov_spectrum(DISK, st.density, 16).sigma1_L == st.value
+    assert st.eps == st.trace[-1][1]
+
+
 def test_budget_take_raises_when_spent():
     b = EigensolveBudget(2)
     b.take()
     b.take()
     with pytest.raises(BudgetExhausted):
         b.take()
-    assert b.remaining == 0
+    assert b.exhausted and b.used == 2
 
 
 # -- schedules and input handling --------------------------------------------
@@ -427,8 +439,9 @@ def test_configuration_validation():
         optimize_configuration(2, symmetry="spiral")
 
 
-def test_configuration_search_k2():
-    res = optimize_configuration(2, budget=1500, nm_iters=25)
+def test_configuration_search_k2(monkeypatch):
+    monkeypatch.setattr(maximizer, "NM_ITERS", 25)
+    res = optimize_configuration(2, budget=1500)
     assert isinstance(res, ConfigurationResult)
     assert res.domain.k == 2
     assert res.value >= 0.99 * STAR_VALUE

@@ -3,8 +3,12 @@
 Commands: spectrum, closedform, maximize, sweep, surface verify, dbar demo,
 export-obj.  Every run appends its manifest to runs.jsonl in the working
 directory; every output file embeds the manifest hash so results can be traced
-back to the exact invocation.  The hash covers the package version but not
-the source, so it identifies an invocation of one code version.  Outputs are
+back to the exact invocation.  The parser is the manifest: its inputs are
+every parsed flag of the command, defaults included, and the tolerances
+(``cluster_tol``, ``solvability_tol``) sit under their own key.  Handlers only
+compute; ``dispatch`` builds the manifest, writes the output and logs the run.
+The hash covers the package version but not the source, so it identifies an
+invocation of one code version.  Outputs are
 deterministic: with the same code, the same manifest produces byte-identical
 files on the same machine and BLAS library.  BLAS runs on one thread unless
 OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS is set; the thread
@@ -55,6 +59,7 @@ from .maximizer import (
     sweep_k,
 )
 from .surfaces import (
+    SURFACES,
     area_length_report,
     export_obj,
     surface_by_name,
@@ -122,27 +127,38 @@ def _append_log(manifest: RunManifest) -> None:
         fh.write(json.dumps(manifest.record(), sort_keys=True) + "\n")
 
 
-def _write_json(path: str, manifest: RunManifest, payload: dict) -> None:
-    doc = {"manifest_hash": manifest.hash}
-    doc.update(payload)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+_ROUTING = ("command", "surface_command", "dbar_command")
+_TOLERANCES = ("cluster_tol", "solvability_tol")
 
 
-def _write_csv(path: str, manifest: RunManifest, header: list, rows: list) -> None:
-    lines = [f"# manifest_hash={manifest.hash}", ",".join(header)]
+def _manifest(args) -> RunManifest:
+    """The run's manifest: every parsed flag, tolerances under their own key."""
+    flags = {k: v for k, v in vars(args).items() if k != "func"}
+    command = " ".join(flags.pop(k) for k in _ROUTING if k in flags)
+    tolerances = {k: flags.pop(k) for k in _TOLERANCES if k in flags}
+    return RunManifest(command, flags, tolerances=tolerances)
+
+
+def _write_json(fh, manifest_hash: str, payload: dict) -> None:
+    json.dump({"manifest_hash": manifest_hash, **payload}, fh, indent=2, sort_keys=True)
+    fh.write("\n")
+
+
+def _write_csv(fh, manifest_hash: str, table: tuple) -> None:
+    header, rows = table
+    lines = [f"# manifest_hash={manifest_hash}", ",".join(header)]
     for row in rows:
         lines.append(",".join(repr(c) if isinstance(c, float) else str(c) for c in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    fh.write("\n".join(lines) + "\n")
 
 
-def _write_obj(path: str, manifest: RunManifest, body: str) -> None:
+def _write_obj(fh, manifest_hash: str, body: str) -> None:
     lines = body.splitlines()
-    lines.insert(1, f"# manifest_hash={manifest.hash}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    lines.insert(1, f"# manifest_hash={manifest_hash}")
+    fh.write("\n".join(lines) + "\n")
+
+
+_WRITERS = {"json": _write_json, "csv": _write_csv, "obj": _write_obj}
 
 
 def _parse_holes(spec: str) -> CircleDomain:
@@ -162,34 +178,47 @@ def _parse_holes(spec: str) -> CircleDomain:
     return CircleDomain(tuple(holes))
 
 
-def _domain_from(args) -> CircleDomain:
-    if getattr(args, "holes", None):
-        return _parse_holes(args.holes)
-    return CircleDomain()
+# -- flag types: argparse turns their errors into exit code 64 -----------------
 
 
-# -- command handlers ---------------------------------------------------------
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return int(text)
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
-def _cmd_spectrum(args) -> RunManifest:
-    if args.eigs < 1:
-        raise BadFlag(f"--eigs must be at least 1, got {args.eigs}")
-    man = RunManifest(
-        "spectrum",
-        {
-            "disk": bool(args.disk),
-            "holes": args.holes or "",
-            "modes": args.modes,
-            "eigs": args.eigs,
-            "out": args.out,
-        },
-        tolerances={"cluster_tol": args.cluster_tol},
-    )
-    domain = _domain_from(args)
+def _int_list(text: str) -> list[int]:
+    try:
+        ks = [int(s) for s in text.split(",") if s.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be a comma-separated integer list, got {text!r}")
+    if not ks:
+        raise argparse.ArgumentTypeError("must name at least one circle count")
+    return ks
+
+
+def _grid(text: str) -> tuple[int, int]:
+    try:
+        nt, ntheta = (int(s) for s in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be integer nt,ntheta, got {text!r}")
+    return nt, ntheta
+
+
+# -- command handlers: each returns (output kind, result) ---------------------
+
+
+def _cmd_spectrum(args):
+    domain = _parse_holes(args.holes)
     dens = BoundaryDensity.uniform(domain.k)
     sp = steklov_spectrum(domain, dens, args.modes, cluster_tol=args.cluster_tol)
     n = min(args.eigs, len(sp.eigenvalues))
-    payload = {
+    return "json", {
         "eigenvalues": [float(v) for v in sp.eigenvalues[:n]],
         "sigma1": sp.sigma1,
         "sigma1_L": sp.sigma1_L,
@@ -197,21 +226,9 @@ def _cmd_spectrum(args) -> RunManifest:
         "clusters": [c for c in sp.clusters if c[0] < n],
         "modes": args.modes,
     }
-    _write_json(args.out, man, payload)
-    return man
 
 
-def _cmd_closedform(args) -> RunManifest:
-    man = RunManifest(
-        "closedform",
-        {
-            "topology": args.topology,
-            "T": args.T,
-            "fT": args.fT,
-            "n_max": args.n_max,
-            "out": args.out,
-        },
-    )
+def _cmd_closedform(args):
     payload = {
         "topology": args.topology,
         "critical_T": critical_parameter(args.topology),
@@ -233,25 +250,11 @@ def _cmd_closedform(args) -> RunManifest:
             }
             for e in spec.entries
         ]
-    _write_json(args.out, man, payload)
-    return man
+    return "json", payload
 
 
-def _cmd_maximize(args) -> RunManifest:
-    man = RunManifest(
-        "maximize",
-        {
-            "disk": bool(args.disk),
-            "holes": args.holes or "",
-            "modes": args.modes,
-            "iters": args.iters,
-            "budget": args.budget,
-            "certificate": bool(args.certificate),
-            "out": args.out,
-        },
-        tolerances={"cluster_tol": CLUSTER_TOL},
-    )
-    domain = _domain_from(args)
+def _cmd_maximize(args):
+    domain = _parse_holes(args.holes)
     state = optimize_density(
         domain,
         BoundaryDensity.uniform(domain.k),
@@ -277,46 +280,23 @@ def _cmd_maximize(args) -> RunManifest:
             "n": cert.n,
             "eigenspace_too_small": cert.eigenspace_too_small,
         }
-    _write_json(args.out, man, payload)
-    return man
+    return "json", payload
 
 
-def _cmd_sweep(args) -> RunManifest:
-    try:
-        ks = [int(s) for s in args.k.split(",") if s.strip()]
-    except ValueError:
-        raise BadFlag(f"--k must be a comma-separated integer list, got {args.k!r}")
-    if not ks:
-        raise BadFlag("--k must name at least one circle count")
-    man = RunManifest(
-        "sweep",
-        {
-            "k": ks,
-            "symmetry": args.symmetry,
-            "budget": args.budget,
-            "out": args.out,
-        },
-        tolerances={"cluster_tol": CLUSTER_TOL},
-    )
-    entries = sweep_k(ks, args.symmetry, args.budget)
+def _cmd_sweep(args):
+    entries = sweep_k(args.k, args.symmetry, args.budget)
     rows = [
         [e.k, float(e.value), ";".join(e.flags) if e.flags else "ok"]
         for e in entries
     ]
-    _write_csv(args.out, man, ["k", "value", "flags"], rows)
-    return man
+    return "csv", (["k", "value", "flags"], rows)
 
 
-def _cmd_surface_verify(args) -> RunManifest:
-    grid = _parse_grid(args.grid)
-    man = RunManifest(
-        "surface verify",
-        {"which": args.which, "grid": list(grid), "out": args.out},
-    )
-    surf = surface_by_name(args.which, grid)
+def _cmd_surface_verify(args):
+    surf = surface_by_name(args.which, args.grid)
     residuals = verify_minimal_free_boundary(surf)
     report = area_length_report(surf)
-    payload = {
+    return "json", {
         "which": args.which,
         "residuals": residuals,
         "area": report.area,
@@ -325,34 +305,9 @@ def _cmd_surface_verify(args) -> RunManifest:
         "two_area_minus_length": report.residuals["two_area_minus_length"],
         "sigma1_L": report.boundary_length,
     }
-    _write_json(args.out, man, payload)
-    return man
 
 
-def _parse_grid(spec: str) -> tuple[int, int]:
-    parts = spec.split(",")
-    if len(parts) != 2:
-        raise BadFlag(f"--grid must be nt,ntheta, got {spec!r}")
-    try:
-        nt, ntheta = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise BadFlag(f"--grid must be integer nt,ntheta, got {spec!r}")
-    return nt, ntheta
-
-
-def _cmd_dbar_demo(args) -> RunManifest:
-    man = RunManifest(
-        "dbar demo",
-        {
-            "T": args.T,
-            "mode": args.mode,
-            "nt": args.nt,
-            "ntheta": args.ntheta,
-            "unsolvable": bool(args.unsolvable),
-            "out": args.out,
-        },
-        tolerances={"solvability_tol": SOLVABILITY_TOL},
-    )
+def _cmd_dbar_demo(args):
     if args.unsolvable:
         rhs = lambda t, th: np.ones_like(t, dtype=complex)
     else:
@@ -371,25 +326,21 @@ def _cmd_dbar_demo(args) -> RunManifest:
         payload["solvability_residual"] = sol.solvability_residual
         payload["tail_truncation"] = sol.tail_truncation
         payload["conditioning"] = sol.conditioning
-    _write_json(args.out, man, payload)
-    return man
+    return "json", payload
 
 
-def _cmd_export_obj(args) -> RunManifest:
-    if args.nt < 2 or args.ntheta < 3:
-        raise BadFlag(f"--nt must be at least 2 and --ntheta at least 3, "
-                      f"got {args.nt} and {args.ntheta}")
-    man = RunManifest(
-        "export-obj",
-        {"which": args.which, "nt": args.nt, "ntheta": args.ntheta, "out": args.out},
-    )
+def _cmd_export_obj(args):
     surf = surface_by_name(args.which)
-    body = export_obj(surf, nt=args.nt, ntheta=args.ntheta)
-    _write_obj(args.out, man, body)
-    return man
+    return "obj", export_obj(surf, nt=args.nt, ntheta=args.ntheta)
 
 
 # -- parser -------------------------------------------------------------------
+
+
+def _domain_flags(parser) -> None:
+    where = parser.add_mutually_exclusive_group()
+    where.add_argument("--disk", action="store_true", help="unit disk, no holes")
+    where.add_argument("--holes", default="", help="holes as cx,cy,r;cx,cy,r;...")
 
 
 def build_parser() -> _Parser:
@@ -398,10 +349,9 @@ def build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command")
 
     sp = sub.add_parser("spectrum", help="Steklov spectrum of a circle domain")
-    sp.add_argument("--disk", action="store_true", help="unit disk, no holes")
-    sp.add_argument("--holes", help="holes as cx,cy,r;cx,cy,r;...")
+    _domain_flags(sp)
     sp.add_argument("--modes", type=int, default=16)
-    sp.add_argument("--eigs", type=int, default=8)
+    sp.add_argument("--eigs", type=_int_at_least(1), default=8)
     sp.add_argument("--cluster-tol", type=float, default=CLUSTER_TOL)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=_cmd_spectrum)
@@ -415,31 +365,27 @@ def build_parser() -> _Parser:
     cf.set_defaults(func=_cmd_closedform)
 
     mx = sub.add_parser("maximize", help="ascend the weighted first eigenvalue")
-    mx.add_argument("--disk", action="store_true")
-    mx.add_argument("--holes", help="holes as cx,cy,r;...")
+    _domain_flags(mx)
     mx.add_argument("--modes", type=int, default=16)
     mx.add_argument("--iters", type=int, default=40)
     mx.add_argument("--budget", type=int, default=10**6)
     mx.add_argument("--certificate", action="store_true")
     mx.add_argument("--out", required=True)
-    mx.set_defaults(func=_cmd_maximize)
+    mx.set_defaults(func=_cmd_maximize, cluster_tol=CLUSTER_TOL)
 
     sw = sub.add_parser("sweep", help="best value per boundary-circle count")
-    sw.add_argument("--k", required=True, help="comma-separated circle counts")
+    sw.add_argument("--k", type=_int_list, required=True,
+                    help="comma-separated circle counts")
     sw.add_argument("--symmetry", choices=("cyclic", "none"), default="cyclic")
     sw.add_argument("--budget", type=int, default=6000)
     sw.add_argument("--out", required=True)
-    sw.set_defaults(func=_cmd_sweep)
+    sw.set_defaults(func=_cmd_sweep, cluster_tol=CLUSTER_TOL)
 
     su = sub.add_parser("surface", help="parametric surface tools")
     susub = su.add_subparsers(dest="surface_command")
     sv = susub.add_parser("verify", help="free boundary minimal surface residuals")
-    sv.add_argument(
-        "--which",
-        choices=("critical-catenoid", "critical-moebius", "flat-disk"),
-        required=True,
-    )
-    sv.add_argument("--grid", default="64,256")
+    sv.add_argument("--which", choices=tuple(SURFACES), required=True)
+    sv.add_argument("--grid", type=_grid, default="64,256")
     sv.add_argument("--out", required=True)
     sv.set_defaults(func=_cmd_surface_verify)
 
@@ -452,16 +398,12 @@ def build_parser() -> _Parser:
     dd.add_argument("--ntheta", type=int, default=64)
     dd.add_argument("--unsolvable", action="store_true")
     dd.add_argument("--out", required=True)
-    dd.set_defaults(func=_cmd_dbar_demo)
+    dd.set_defaults(func=_cmd_dbar_demo, solvability_tol=SOLVABILITY_TOL)
 
     eo = sub.add_parser("export-obj", help="write a surface mesh")
-    eo.add_argument(
-        "--which",
-        choices=("critical-catenoid", "critical-moebius", "flat-disk"),
-        required=True,
-    )
-    eo.add_argument("--nt", type=int, default=48)
-    eo.add_argument("--ntheta", type=int, default=96)
+    eo.add_argument("--which", choices=tuple(SURFACES), required=True)
+    eo.add_argument("--nt", type=_int_at_least(2), default=48)
+    eo.add_argument("--ntheta", type=_int_at_least(3), default=96)
     eo.add_argument("--out", required=True)
     eo.set_defaults(func=_cmd_export_obj)
 
@@ -478,7 +420,10 @@ def dispatch(argv) -> int:
             sub = args.command
             raise UnknownCommand(f"{sub} needs a subcommand; see {sub} --help")
         start = time.perf_counter()
-        man = args.func(args)
+        man = _manifest(args)
+        kind, result = args.func(args)
+        with open(args.out, "w") as fh:
+            _WRITERS[kind](fh, man.hash, result)
         man.timing = time.perf_counter() - start
         _append_log(man)
         return 0

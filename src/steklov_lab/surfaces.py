@@ -333,15 +333,17 @@ def flat_disk(grid=(64, 256)) -> ParametricSurface:
     )
 
 
+SURFACES = {
+    "critical-catenoid": critical_catenoid,
+    "critical-moebius": critical_moebius,
+    "flat-disk": flat_disk,
+}
+
+
 def surface_by_name(name: str, grid=(64, 256)) -> ParametricSurface:
-    table = {
-        "critical-catenoid": critical_catenoid,
-        "critical-moebius": critical_moebius,
-        "flat-disk": flat_disk,
-    }
-    if name not in table:
-        raise ValueError(f"unknown surface {name!r}; choose from {sorted(table)}")
-    return table[name](grid)
+    if name not in SURFACES:
+        raise ValueError(f"unknown surface {name!r}; choose from {sorted(SURFACES)}")
+    return SURFACES[name](grid)
 
 
 # -- residual verification ----------------------------------------------------

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -130,7 +131,7 @@ def test_sweep_rows_follow_input_order(workdir):
 def test_quoted_sweep_hashes(workdir, monkeypatch):
     # README and the module docstring quote the manifest hashes of
     # `sweep --k 2,3 --budget 20 --out sweep.csv` under one and two BLAS
-    # threads; the manifest is the handler's own, with the thread count set
+    # threads; the manifest is the one dispatch logs, with the thread count set
     monkeypatch.setattr(cli, "sweep_k", lambda *a: [])
     assert cli.dispatch(["sweep", "--k", "2,3", "--budget", "20", "--out", "sweep.csv"]) == 0
     rec = read_log(workdir)[0]
@@ -141,6 +142,53 @@ def test_quoted_sweep_hashes(workdir, monkeypatch):
         h = cli.RunManifest(**fields, blas_threads={"numpy": n, "scipy": n}).hash
         for name, text in texts.items():
             assert f"{h} {words}" in text.replace("`", ""), (name, n, h)
+
+
+# one invocation per command and output kind, with the manifest hash it logs
+# under one BLAS thread
+PINNED_HASHES = [
+    (["spectrum", "--disk", "--modes", "12", "--out", "disk.json"], "f1150402901604b7"),
+    (["spectrum", "--holes", "0.3,0,0.2;-0.4,0.1,0.15", "--out", "two.json"],
+     "dc9787797890ecd1"),
+    (["closedform", "--topology", "annulus", "--T", "1.3", "--fT", "0.8",
+      "--out", "ann.json"], "478c2bff65283752"),
+    (["closedform", "--topology", "moebius", "--out", "mb.json"], "510e4d67d305d1f4"),
+    (["maximize", "--disk", "--certificate", "--iters", "5", "--out", "max.json"],
+     "764f2c1f4ecec37e"),
+    (["sweep", "--k", "2,3", "--budget", "20", "--out", "sweep.csv"], "2af83fe76915424b"),
+    (["surface", "verify", "--which", "critical-catenoid", "--out", "cat.json"],
+     "643ee5a927e78bfc"),
+    (["surface", "verify", "--which", "flat-disk", "--grid", "32,64", "--out", "fd.json"],
+     "cce72fddb1aee2e2"),
+    (["dbar", "demo", "--out", "demo.json"], "edd50b537db97c47"),
+    (["dbar", "demo", "--unsolvable", "--out", "blocked.json"], "5736b520981ce2ed"),
+    (["export-obj", "--which", "critical-moebius", "--out", "mb.obj"], "aaf3320c1b61c745"),
+]
+
+
+def test_pinned_manifest_hashes(workdir, monkeypatch):
+    # the hash depends on the parsed flags only, so the handlers are stubbed
+    for name in dir(cli):
+        if name.startswith("_cmd_"):
+            monkeypatch.setattr(cli, name, lambda args: ("json", {}))
+    for argv, expect in PINNED_HASHES:
+        assert cli.dispatch(argv) == 0, argv
+        rec = read_log(workdir)[-1]
+        assert read_json(argv[-1])["manifest_hash"] == rec["manifest_hash"]
+        fields = {k: rec[k] for k in ("command", "inputs", "version", "tolerances")}
+        h = cli.RunManifest(**fields, blas_threads={"numpy": 1, "scipy": 1}).hash
+        assert h == expect, (argv, h)
+
+
+def test_readme_examples_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    examples = [ln for ln in block.splitlines() if ln.startswith("steklov-lab ")]
+    assert len(examples) >= 11
+    handlers = {getattr(cli, n) for n in dir(cli) if n.startswith("_cmd_")}
+    for line in examples:
+        args = cli.build_parser().parse_args(shlex.split(line)[1:])
+        assert args.func in handlers, line
 
 
 def test_surface_verify(workdir):
@@ -195,8 +243,10 @@ def test_unknown_command(workdir):
 def test_bad_flags(workdir):
     assert cli.dispatch(["spectrum", "--disk"]) == 64  # missing --out
     assert cli.dispatch(["sweep", "--k", "a,b", "--out", "x.csv"]) == 64
-    assert cli.dispatch(["spectrum", "--disk", "--holes", "1,2",
-                         "--out", "x.json"]) == 64
+    assert cli.dispatch(["spectrum", "--holes", "1,2", "--out", "x.json"]) == 64
+    for cmd in ("spectrum", "maximize"):  # --disk and --holes exclude each other
+        assert cli.dispatch([cmd, "--disk", "--holes", "0.3,0,0.2",
+                             "--out", "x.json"]) == 64
     assert cli.dispatch(["surface", "verify", "--which", "flat-disk",
                          "--grid", "64", "--out", "x.json"]) == 64
     assert cli.dispatch(["spectrum", "--disk", "--eigs", "0", "--out", "x.json"]) == 64
@@ -205,6 +255,7 @@ def test_bad_flags(workdir):
     assert cli.dispatch(["export-obj", "--which", "flat-disk", "--ntheta", "2",
                          "--out", "x.obj"]) == 64
     assert not (workdir / "x.json").exists() and not (workdir / "x.obj").exists()
+    assert read_log(workdir) == []
 
 
 def test_invalid_domain_exits_2(workdir):

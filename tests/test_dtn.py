@@ -282,7 +282,12 @@ def test_residuals_and_metadata():
     assert spec.metadata["M"] == 10
     assert spec.metadata["n_quad"] == 256
     assert spec.metadata["dropped"] == 0
-    assert np.max(spec.metadata["residuals"]) < 1e-8
+    # relative residual |A v - sigma B v| / |B v| of each returned pair
+    basis = build_basis(DISK, 10)
+    sys_ = boundary_matrices(basis, as_samples(DISK, UNIFORM1, basis.n_quad))
+    Bv = sys_.B @ spec.eigenvectors
+    res = np.linalg.norm(sys_.A @ spec.eigenvectors - Bv * spec.eigenvalues, axis=0)
+    assert np.max(res / np.linalg.norm(Bv, axis=0)) < 1e-8
 
 
 def test_degenerate_mass_matrix():

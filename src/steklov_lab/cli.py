@@ -229,6 +229,8 @@ def _cmd_spectrum(args):
 
 
 def _cmd_closedform(args):
+    if args.fT is not None and args.T is None:
+        raise BadFlag("--fT needs --T")
     payload = {
         "topology": args.topology,
         "critical_T": critical_parameter(args.topology),
@@ -312,6 +314,8 @@ def _cmd_dbar_demo(args):
         rhs = lambda t, th: np.ones_like(t, dtype=complex)
     else:
         m = args.mode
+        if args.ntheta <= 2 * abs(m):  # m would alias or sit at the Nyquist mode
+            raise BadFlag(f"--ntheta {args.ntheta} must exceed 2 |--mode| = {2 * abs(m)}")
         rhs = lambda t, th: (t / args.T) * np.exp(1j * m * th)
     problem = cylinder_problem(args.T, rhs, nt=args.nt, ntheta=args.ntheta)
     payload = {"T": args.T, "mode": args.mode, "unsolvable_requested": bool(args.unsolvable)}
@@ -394,7 +398,7 @@ def build_parser() -> _Parser:
     dd = dbsub.add_parser("demo", help="solve a sample right-hand side")
     dd.add_argument("--T", type=float, default=1.0)
     dd.add_argument("--mode", type=int, default=2)
-    dd.add_argument("--nt", type=int, default=64)
+    dd.add_argument("--nt", type=_int_at_least(2), default=64)
     dd.add_argument("--ntheta", type=int, default=64)
     dd.add_argument("--unsolvable", action="store_true")
     dd.add_argument("--out", required=True)

@@ -24,7 +24,7 @@ handed out is a fixed linear combination of it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,9 +52,8 @@ class DbarProblem:
 
     T: float
     rhs: np.ndarray  # complex, shape (nt, ntheta)
-    symmetry: str = "none"  # "none" | "moebius_odd"
-    t_nodes: np.ndarray = field(default=None)
-    t_weights: np.ndarray = field(default=None)
+    t_nodes: np.ndarray | None = None
+    t_weights: np.ndarray | None = None
 
     def __post_init__(self):
         if self.T <= 0.0:
@@ -65,8 +64,6 @@ class DbarProblem:
             raise ValueError("grid sizes must be powers of two")
         if not np.all(np.isfinite(self.rhs)):
             raise ValueError("right-hand side must be finite")
-        if self.symmetry not in ("none", "moebius_odd"):
-            raise ValueError(f"unknown symmetry {self.symmetry!r}")
         if (self.t_nodes is None) != (self.t_weights is None):
             raise ValueError("give both t_nodes and t_weights, or neither")
         if self.t_nodes is None:
@@ -87,7 +84,7 @@ class DbarProblem:
         return 2.0 * math.pi * np.arange(ntheta) / ntheta
 
 
-def cylinder_problem(T, rhs, nt=128, ntheta=128, symmetry="none") -> DbarProblem:
+def cylinder_problem(T, rhs, nt=128, ntheta=128) -> DbarProblem:
     """Build a DbarProblem by sampling a closure rhs(t, theta) on the grid.
 
     rhs sees the open grid (t a column, theta a row); the result is broadcast
@@ -97,7 +94,7 @@ def cylinder_problem(T, rhs, nt=128, ntheta=128, symmetry="none") -> DbarProblem
     th = 2.0 * math.pi * np.arange(ntheta) / ntheta
     k = np.empty((nt, ntheta), dtype=complex)
     k[...] = rhs(t[:, None], th[None, :])
-    return DbarProblem(T=T, rhs=k, symmetry=symmetry, t_nodes=t, t_weights=w)
+    return DbarProblem(T=T, rhs=k, t_nodes=t, t_weights=w)
 
 
 @dataclass
@@ -119,8 +116,6 @@ class DbarSolution:
     solvability_residual: float
     tail_truncation: float
     conditioning: float
-    symmetry: str = "none"
-    symmetry_defect: float = 0.0
 
     def evaluate(self, t, theta) -> np.ndarray:
         t = np.asarray(t, dtype=float)
@@ -210,18 +205,6 @@ def solve_dbar(problem: DbarProblem) -> DbarSolution:
     fhat[:, n] += (r1 - q * r2) / det * np.exp(n * (t[:, None] - T))
     fhat[:, ntheta - n] += np.conj((r2 - q * r1) / det) * np.exp(-n * (t[:, None] + T))
 
-    defect = 0.0
-    if problem.symmetry == "moebius_odd":
-        # project onto f(-t, theta+pi) = -conj(f(t, theta)):
-        # mode-wise f_n(t) <- (f_n(t) - (-1)^n conj(f_{-n}(-t))) / 2
-        signs = np.where(np.arange(ntheta) % 2 == 0, 1.0, -1.0)
-        partner = np.conj(fhat[::-1, (-np.arange(ntheta)) % ntheta])
-        projected = 0.5 * (fhat - signs[None, :] * partner)
-        defect = float(np.max(np.abs(projected - fhat)))
-        fhat = projected
-        # re-apply the gauge after projection
-        fhat[:, 0] -= 1j * float(w @ fhat[:, 0].imag) / (2.0 * T)
-
     values = np.fft.ifft(fhat, axis=1) * ntheta
     return DbarSolution(
         T=T, t_nodes=t, thetas=problem.thetas,
@@ -229,8 +212,6 @@ def solve_dbar(problem: DbarProblem) -> DbarSolution:
         solvability_residual=abs(integral_re_k),
         tail_truncation=float(np.max(np.abs(khat[:, ntheta // 2]))),
         conditioning=float(np.max((1.0 + q) / det, initial=1.0)),
-        symmetry=problem.symmetry,
-        symmetry_defect=defect,
     )
 
 
@@ -276,8 +257,9 @@ class ConformalFieldSpace:
 
 def _shape_weight(surface: ParametricSurface, t, theta):
     """(phi_tt.nu + i phi_ttheta.nu) / |phi_t|^2, the d-bar datum per unit psi."""
-    nu = surface.unit_normal(t, theta)
-    lam2 = np.sum(surface.phi_t(t, theta) ** 2, axis=-1)
+    pt = surface.phi_t(t, theta)
+    nu = surface._normal_from_tangents(pt, surface.phi_theta(t, theta))
+    lam2 = np.sum(pt**2, axis=-1)
     h11 = np.sum(surface.phi_tt(t, theta) * nu, axis=-1)
     h12 = np.sum(surface.phi_ttheta(t, theta) * nu, axis=-1)
     return (h11 + 1j * h12) / lam2
@@ -377,10 +359,10 @@ def build_conformal_variation(surface: ParametricSurface, psi) -> ConformalVaria
 
     def Y_fn(t, theta):
         f = sol.evaluate(t, theta)
-        u = f.real[..., None]
-        v = f.imag[..., None]
-        out = u * surface.phi_t(t, theta) + v * surface.phi_theta(t, theta)
-        return out + np.asarray(psi(t, theta))[..., None] * surface.unit_normal(t, theta)
+        pt, pth = surface.phi_t(t, theta), surface.phi_theta(t, theta)
+        out = f.real[..., None] * pt + f.imag[..., None] * pth
+        nu = surface._normal_from_tangents(pt, pth)
+        return out + np.asarray(psi(t, theta))[..., None] * nu
 
     Y = VariationField(Y_fn, kind="general")
 

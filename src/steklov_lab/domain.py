@@ -8,8 +8,9 @@ or as equispaced samples of the measure density ``lambda * rho`` with respect
 to the angle variable (``BoundaryMeasureSamples``: one (k, n) table, a row
 per circle on one shared power-of-two grid, and a (k,) array of radii);
 ``as_samples`` turns either into that table, the one form the computations
-read.  Heat smoothing acts on the whole table as the exact Fourier multiplier
-of the circle heat kernel, one FFT along the rows.
+read, and moves a table between power-of-two grids exactly (striding down,
+Fourier zero padding up).  Heat smoothing acts on the whole table as the
+exact Fourier multiplier of the circle heat kernel, one FFT along the rows.
 """
 
 from __future__ import annotations
@@ -118,17 +119,15 @@ class BoundaryDensity:
     def k(self) -> int:
         return len(self.log_coeffs)
 
-    def log_values(self, j: int, thetas: np.ndarray) -> np.ndarray:
+    def values(self, j: int, thetas: np.ndarray) -> np.ndarray:
+        """lambda = exp(series) on component j at the given angles."""
         c = self.log_coeffs[j]
         out = np.full_like(np.asarray(thetas, dtype=float), c[0])
         for m in range(1, (len(c) + 1) // 2):
             out += c[2 * m - 1] * np.cos(m * thetas)
             if 2 * m < len(c):
                 out += c[2 * m] * np.sin(m * thetas)
-        return out
-
-    def values(self, j: int, thetas: np.ndarray) -> np.ndarray:
-        return np.exp(self.log_values(j, thetas))
+        return np.exp(out)
 
 
 @dataclass(frozen=True)
@@ -172,49 +171,34 @@ class BoundaryMeasureSamples:
         """Total measure (periodic trapezoid, exact for trig polys)."""
         return float(np.sum(2.0 * math.pi * np.mean(self.values, axis=1)))
 
-    def density_values(self, j: int, thetas: np.ndarray | None = None) -> np.ndarray:
-        """lambda on component j, resampled by trigonometric interpolation if needed."""
-        lam = self.values[j] / self.radii[j]
-        if thetas is None:
-            return lam
-        return _trig_resample(lam, np.asarray(thetas, dtype=float))
-
-
-def _trig_resample(vals: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """Evaluate the band-limited interpolant of equispaced samples at thetas."""
-    n = len(vals)
-    if thetas.shape == (n,):
-        native = 2.0 * math.pi * np.arange(n) / n
-        if np.array_equal(thetas, native):
-            return vals.copy()
-    coeff = np.fft.rfft(vals) / n
-    m = np.arange(1, len(coeff))
-    w = np.where(2 * m < n, 2.0, 1.0)  # Nyquist mode counted once
-    phase = np.multiply.outer(thetas, m)
-    return coeff[0].real + (
-        np.cos(phase) @ (w * coeff[1:].real) - np.sin(phase) @ (w * coeff[1:].imag)
-    )
-
 
 def as_samples(domain: CircleDomain, density, n: int = 256) -> BoundaryMeasureSamples:
     """Either boundary weight as a (k, n) table of lambda * rho samples.
 
-    Samples already on an n-point grid are returned as they are; samples on
-    another grid are resampled by trigonometric interpolation, and a
-    BoundaryDensity is evaluated at the grid angles.
+    A BoundaryDensity is evaluated at the grid angles.  Samples must carry
+    the domain's radii; on the n-point grid they are returned as they are,
+    a coarser grid takes every (n_old / n)-th sample, and a finer grid zero
+    pads the Fourier coefficients of each row (the old Nyquist term split
+    evenly between +-n_old/2), so the band-limited interpolant is unchanged.
     """
     if density.k != domain.k:
         raise ValueError("density has wrong number of components")
-    th = 2.0 * math.pi * np.arange(n) / n
-    if isinstance(density, BoundaryMeasureSamples):
-        if density.n == n:
-            return density
-        lam = [density.density_values(j, th) for j in range(density.k)]
-        radii = density.radii
-    else:
-        lam = [density.values(j, th) for j in range(domain.k)]
+    if isinstance(density, BoundaryDensity):
+        th = 2.0 * math.pi * np.arange(n) / n
         radii = domain.radii()
-    return BoundaryMeasureSamples(np.array(lam) * radii[:, None], radii)
+        lam = [density.values(j, th) for j in range(domain.k)]
+        return BoundaryMeasureSamples(np.array(lam) * radii[:, None], radii)
+    if not np.array_equal(density.radii, domain.radii()):
+        raise ValueError(f"samples have radii {density.radii}, the domain {domain.radii()}")
+    if density.n == n:
+        return density
+    if density.n > n:
+        values = density.values[:, :: density.n // n]
+    else:
+        coeff = np.fft.rfft(density.values, axis=1)
+        coeff[:, -1] *= 0.5
+        values = np.fft.irfft(coeff, n=n, axis=1) * (n / density.n)
+    return BoundaryMeasureSamples(values, density.radii)
 
 
 def heat_smooth(samples: BoundaryMeasureSamples, eps: float) -> BoundaryMeasureSamples:

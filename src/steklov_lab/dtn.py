@@ -88,10 +88,13 @@ def steklov_spectrum(
 ) -> SteklovSpectrum:
     """First ``n_eigs`` weighted Steklov eigenvalues (sigma_0 = 0 included).
 
-    ``density`` is a BoundaryDensity or BoundaryMeasureSamples.
+    ``density`` is a BoundaryDensity or BoundaryMeasureSamples; a given
+    ``basis`` must be built on ``domain``.
     """
     if basis is None:
         basis = build_basis(domain, M)
+    elif basis.domain != domain:
+        raise ValueError("basis was built on another domain")
     sys_ = boundary_matrices(basis, as_samples(domain, density, basis.n_quad))
     return solve_eigensystem(
         sys_.A, sys_.B, sys_.m, n_eigs,

@@ -151,15 +151,13 @@ class SweepEntry:
 
 
 def _weight_gradient(samples: BoundaryMeasureSamples, sq, sigma: float, L: float):
-    """Mean-zero first variation of sigma from squared eigenfunction traces.
+    """Mean-zero first variation of sigma from a (k, n) table of u^2.
 
-    ``sq`` is a (..., k, n) stack of u^2 tables for unit-norm eigenfunctions
-    u (or averages of such squares over a cluster); each result is
-    -sigma (u^2 - avg), avg the mean of u^2 against the weighted measure of
-    total mass L, so it has mean zero.
+    ``sq`` holds the squared traces of a unit-norm eigenfunction u, or their
+    average over a cluster; the result is -sigma (u^2 - avg), avg the mean of
+    u^2 against the weighted measure of total mass L, so it has mean zero.
     """
-    per_circle = 2.0 * math.pi * np.mean(sq * samples.values, axis=-1)
-    avg = np.sum(per_circle, axis=-1)[..., None, None] / L
+    avg = np.sum(2.0 * math.pi * np.mean(sq * samples.values, axis=-1)) / L
     return -sigma * (sq - avg)
 
 
@@ -172,44 +170,34 @@ def _boundary_traces(basis: HarmonicBasis, cols: np.ndarray) -> np.ndarray:
 
 
 def _cluster_directions(basis, samples, spec):
-    """Candidate ascent directions at sigma_1, sup-normalized.
+    """Candidate ascent directions at sigma_1, sup-normalized; at most two.
 
     Averaging the squared eigenfunctions over a group of eigenvalues gives a
     direction independent of the basis chosen inside it; it is built twice,
     once over every eigenvalue within NEAR_WIDTH of sigma_1 (so branches
-    about to cross are lifted jointly) and once over the strict cluster,
-    whose members follow individually as fallbacks.  Empty return means
-    stationary.  With a strict cluster of size > 1 a negligible averaged
-    direction already implies stationarity: the trace of the eigenvalue
-    derivative then vanishes for every weight perturbation, so its smallest
-    branch cannot rise to first order.
+    about to cross are lifted jointly) and once over the strict cluster.
+    Empty return means stationary.  With a strict cluster of size > 1 a
+    negligible averaged direction already implies stationarity: the trace of
+    the eigenvalue derivative then vanishes for every weight perturbation,
+    so its smallest branch cannot rise to first order.
     """
     sigma = spec.sigma1
     L = samples.total_mass()
     tiny = GRAD_TOL * (1.0 + sigma)
 
     def averaged(cols):
-        sq = _boundary_traces(basis, cols) ** 2
-        g = _weight_gradient(samples, np.mean(sq, axis=0), sigma, L)
-        return g, float(np.max(np.abs(g))), sq
+        sq = np.mean(_boundary_traces(basis, cols) ** 2, axis=0)
+        g = _weight_gradient(samples, sq, sigma, L)
+        sup = float(np.max(np.abs(g)))
+        return g / sup if sup > tiny else None
 
     strict = spec.eigenvectors[:, spec.cluster_of(1)]
-    g_strict, sup_strict, sq = averaged(strict)
-    if strict.shape[1] > 1 and sup_strict <= tiny:
+    d_strict = averaged(strict)
+    if strict.shape[1] > 1 and d_strict is None:
         return []
-    dirs = []
     near = _near_cluster(spec, NEAR_WIDTH)
-    if near.shape[1] > strict.shape[1]:
-        g_near, sup_near, _ = averaged(near)
-        if sup_near > tiny:
-            dirs.append(g_near / sup_near)
-    if sup_strict > tiny:
-        dirs.append(g_strict / sup_strict)
-    if strict.shape[1] > 1:
-        gs = _weight_gradient(samples, sq, sigma, L)
-        sups = np.max(np.abs(gs), axis=(1, 2))
-        dirs += [g / s for g, s in zip(gs, sups) if s > tiny]
-    return dirs
+    dirs = [averaged(near)] if near.shape[1] > strict.shape[1] else []
+    return [d for d in dirs + [d_strict] if d is not None]
 
 
 def _step_candidate(samples, direction, s, eps):
@@ -384,10 +372,13 @@ def extremality_certificate(domain, density, eigenspace, *, M: int = 16,
     boundary sup residual and the largest Hopf differential magnitude
     2 |sum_ab C_ab df_a/dz df_b/dz| over an interior polar grid (64 radii by
     64 angles, points within 1e-3 of a hole dropped).  A space of
-    dimension < 2 cannot certify anything; this is flagged, not raised.
+    dimension < 2 cannot certify anything; this is flagged, not raised.  A
+    given basis must be built on domain.
     """
     if basis is None:
         basis = build_basis(domain, M)
+    elif basis.domain != domain:
+        raise ValueError("basis was built on another domain")
     samples = as_samples(domain, density, basis.n_quad)
     cols = np.asarray(eigenspace, dtype=float)
     if cols.ndim == 1:

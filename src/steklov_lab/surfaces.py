@@ -175,10 +175,12 @@ class ParametricSurface:
 
     def unit_normal(self, t: np.ndarray, theta: np.ndarray) -> np.ndarray:
         """Unit normal field (n = 3 only)."""
+        return self._normal_from_tangents(self.phi_t(t, theta), self.phi_theta(t, theta))
+
+    def _normal_from_tangents(self, pt: np.ndarray, pth: np.ndarray) -> np.ndarray:
+        """unit_normal from phi_t and phi_theta already evaluated (n = 3 only)."""
         if self.n != 3:
             raise ValueError("unit_normal needs ambient dimension 3")
-        pt = self.phi_t(t, theta)
-        pth = self.phi_theta(t, theta)
         nu = np.cross(pt, pth)
         return nu / np.linalg.norm(nu, axis=-1, keepdims=True)
 

@@ -285,7 +285,7 @@ def _boundary_matrices_per_circle(b, samples):
         dn = 2.0 * (dz * (e if j == 0 else -e)).real
         ds = rho * 2.0 * math.pi / b.n_quad
         A += ds * (vals @ dn.T)
-        w = samples.density_values(j) * ds
+        w = samples.values[j] / samples.radii[j] * ds
         B += (vals * w) @ vals.T
         m += vals @ w
     return 0.5 * (A + A.T), 0.5 * (B + B.T), m

@@ -254,6 +254,13 @@ def test_bad_flags(workdir):
                          "--out", "x.obj"]) == 64
     assert cli.dispatch(["export-obj", "--which", "flat-disk", "--ntheta", "2",
                          "--out", "x.obj"]) == 64
+    # the default --mode 2 aliases to the constant at --ntheta 2 and sits at
+    # the Nyquist frequency at --ntheta 4
+    for ntheta in ("2", "4"):
+        assert cli.dispatch(["dbar", "demo", "--nt", "8", "--ntheta", ntheta,
+                             "--out", "x.json"]) == 64
+    assert cli.dispatch(["dbar", "demo", "--nt", "1", "--out", "x.json"]) == 64
+    assert cli.dispatch(["closedform", "--fT", "0.8", "--out", "x.json"]) == 64
     assert not (workdir / "x.json").exists() and not (workdir / "x.obj").exists()
     assert read_log(workdir) == []
 

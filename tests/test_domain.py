@@ -13,7 +13,6 @@ from steklov_lab.domain import (
     HoleOutsideDisk,
     Overlap,
     RadiusNonpositive,
-    _trig_resample,
     as_samples,
     heat_smooth,
     normalize,
@@ -76,7 +75,8 @@ def test_as_samples_round_trip():
     samples = as_samples(dom, dens, n=128)
     th = 2 * math.pi * np.arange(128) / 128
     for j in range(2):
-        assert np.allclose(samples.density_values(j, th), dens.values(j, th), atol=1e-12)
+        lam = samples.values[j] / samples.radii[j]
+        assert np.allclose(lam, dens.values(j, th), atol=1e-12)
     L = 2 * math.pi * (np.mean(dens.values(0, th)) + 0.15 * math.exp(0.3))
     assert abs(samples.total_mass() - L) < 1e-10
     # samples on the requested grid pass through; others are resampled
@@ -84,20 +84,19 @@ def test_as_samples_round_trip():
     fine = as_samples(dom, samples, 256)
     th2 = 2 * math.pi * np.arange(256) / 256
     for j in range(2):
-        assert np.max(np.abs(fine.density_values(j) - dens.values(j, th2))) < 1e-12
+        assert np.max(np.abs(fine.values[j] / fine.radii[j] - dens.values(j, th2))) < 1e-12
     with pytest.raises(ValueError):
         as_samples(CircleDomain(), dens)
 
 
-def test_density_values_resamples():
-    # samples stored on the native grid evaluate exactly on a rotated grid
-    n = 64
-    th = 2 * math.pi * np.arange(n) / n
-    vals = np.exp(0.2 * np.cos(th))
-    samples = BoundaryMeasureSamples((vals,), (1.0,))
-    rotated = th + 0.1
-    expect = np.exp(0.2 * np.cos(rotated))
-    assert np.max(np.abs(samples.density_values(0, rotated) - expect)) < 1e-12
+def test_coarser_grid_takes_every_other_sample():
+    rng = np.random.default_rng(5)
+    samples = BoundaryMeasureSamples(rng.uniform(0.5, 1.5, (3, 256)), (1.0, 0.2, 0.1))
+    dom = CircleDomain((Hole(0.4, 0.2), Hole(-0.4, 0.1)))
+    for n in (4, 64, 128):
+        coarse = as_samples(dom, samples, n)
+        assert coarse.values.tobytes() == samples.values[:, :: 256 // n].tobytes()
+        assert coarse.radii.tobytes() == samples.radii.tobytes()
 
 
 def test_rows_stack_into_one_table():
@@ -155,14 +154,21 @@ def _trig_resample_loop(vals, thetas):
 
 
 def test_trig_resample_matches_mode_loop():
+    # a finer grid samples the band-limited interpolant of the coarse one
     rng = np.random.default_rng(7)
-    for n in range(4, 513):
-        vals = 1.0 + 0.5 * rng.standard_normal(n)
-        rotated = 2 * math.pi * np.arange(n) / n + rng.uniform(0.0, 2 * math.pi / n)
-        scattered = rng.uniform(-math.pi, 3 * math.pi, size=37)
-        for th in (rotated, scattered):
-            ref = _trig_resample_loop(vals, th)
-            assert np.max(np.abs(_trig_resample(vals, th) - ref)) < 1e-14
+    dom = CircleDomain((Hole(0.2j, 0.3),))
+    for n in (4, 8, 16, 64, 256, 512):
+        vals = 1.0 + 0.5 * rng.standard_normal((2, n))
+        samples = BoundaryMeasureSamples(vals, (1.0, 0.3))
+        for fine in sorted({2 * n, 1024}):
+            th = 2 * math.pi * np.arange(fine) / fine
+            got = as_samples(dom, samples, fine).values
+            for j in range(2):
+                ref = _trig_resample_loop(vals[j], th)
+                assert np.max(np.abs(got[j] - ref)) <= 1e-13 * np.max(np.abs(ref))
+            # and striding back down returns the samples themselves
+            again = as_samples(dom, as_samples(dom, samples, fine), n).values
+            assert np.max(np.abs(again - vals)) <= 1e-13 * np.max(np.abs(vals))
 
 
 def test_normalize_idempotent():

@@ -25,6 +25,7 @@ from steklov_lab.dtn import (
     solve_eigensystem,
     steklov_spectrum,
 )
+from steklov_lab.maximizer import extremality_certificate
 
 DISK = CircleDomain()
 UNIFORM1 = BoundaryDensity.uniform(1)
@@ -265,6 +266,23 @@ def test_sigma1_L_is_moebius_invariant():
     mapped = steklov_spectrum(image, pushed, M=M, n_eigs=2)
     assert abs(mapped.boundary_length / ref.boundary_length - 1) < 1e-13
     assert abs(mapped.sigma1_L / ref.sigma1_L - 1) < 1e-9
+
+
+def test_inputs_of_another_domain_are_rejected():
+    # a basis or a samples table of b used on a would give b's sigma_1 * L
+    # against a's boundary (7.1405 here; a has 6.4807 and b 6.6711)
+    a = CircleDomain((Hole(0.3, 0.2),))
+    b = CircleDomain((Hole(-0.1 + 0.2j, 0.1),))
+    uniform = BoundaryDensity.uniform(2)
+    assert abs(steklov_spectrum(a, uniform).sigma1_L - 6.480740458928641) < 1e-9
+    assert abs(steklov_spectrum(b, uniform).sigma1_L - 6.671069611073525) < 1e-9
+    basis_b = build_basis(b, 16)
+    with pytest.raises(ValueError, match="another domain"):
+        steklov_spectrum(a, uniform, 16, basis=basis_b)
+    with pytest.raises(ValueError, match="another domain"):
+        extremality_certificate(a, uniform, np.eye(basis_b.size)[:, 1:3], basis=basis_b)
+    with pytest.raises(ValueError, match="radii"):
+        steklov_spectrum(b, as_samples(a, uniform))
 
 
 def test_ritz_values_decrease_with_degree():

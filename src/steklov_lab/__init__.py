@@ -28,9 +28,7 @@ from .dtn import SteklovSpectrum, steklov_spectrum, coarse_bound, multiplicity_c
 from .maximizer import (
     AscentState,
     Certificate,
-    ConfigurationResult,
     EigensolveBudget,
-    SweepEntry,
     extremality_certificate,
     optimize_configuration,
     optimize_density,

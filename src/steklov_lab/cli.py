@@ -41,6 +41,7 @@ from .dbar import (
     SOLVABILITY_TOL,
     BoundarySystemSingular,
     Unsolvable,
+    _is_pow2,
     cylinder_problem,
     dbar_residual,
     solve_dbar,
@@ -191,6 +192,15 @@ def _int_at_least(low: int):
     return parse
 
 
+def _power_of_two(text: str) -> int:
+    if not _is_pow2(int(text)):  # the grid rule DbarProblem enforces
+        raise argparse.ArgumentTypeError(f"must be a power of two >= 2, got {text}")
+    return int(text)
+
+
+_power_of_two.__name__ = "int"
+
+
 def _int_list(text: str) -> list[int]:
     try:
         ks = [int(s) for s in text.split(",") if s.strip()]
@@ -286,10 +296,9 @@ def _cmd_maximize(args):
 
 
 def _cmd_sweep(args):
-    entries = sweep_k(args.k, args.symmetry, args.budget)
     rows = [
-        [e.k, float(e.value), ";".join(e.flags) if e.flags else "ok"]
-        for e in entries
+        [st.domain.k, float(st.value), ";".join(st.flags) or "ok"]
+        for st in sweep_k(args.k, args.symmetry, args.budget)
     ]
     return "csv", (["k", "value", "flags"], rows)
 
@@ -398,8 +407,8 @@ def build_parser() -> _Parser:
     dd = dbsub.add_parser("demo", help="solve a sample right-hand side")
     dd.add_argument("--T", type=float, default=1.0)
     dd.add_argument("--mode", type=int, default=2)
-    dd.add_argument("--nt", type=_int_at_least(2), default=64)
-    dd.add_argument("--ntheta", type=int, default=64)
+    dd.add_argument("--nt", type=_power_of_two, default=64)
+    dd.add_argument("--ntheta", type=_power_of_two, default=64)
     dd.add_argument("--unsolvable", action="store_true")
     dd.add_argument("--out", required=True)
     dd.set_defaults(func=_cmd_dbar_demo, solvability_tol=SOLVABILITY_TOL)

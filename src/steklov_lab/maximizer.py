@@ -14,7 +14,7 @@ the boundary and a vanishing Hopf differential inside.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .domain import (
     BoundaryDensity,
     BoundaryMeasureSamples,
     CircleDomain,
-    DomainError,
     Hole,
     as_samples,
     heat_smooth,
@@ -78,13 +77,16 @@ class EigensolveBudget:
 
 @dataclass
 class AscentState:
-    """Outcome of a weight ascent on a fixed domain.
+    """Outcome of a weight ascent, and of every search built on one.
 
     spectrum is the spectrum of density, the weight at smoothing level eps;
-    value and eigenspace are read from it.  trace holds (iteration, eps,
+    value and eigenspace are read from it, the eigenspace being every
+    eigenvector within NEAR_WIDTH of sigma_1.  trace holds (iteration, eps,
     value) rows; within one smoothing level the values are nondecreasing
     because steps are only accepted on improvement.  phase_residuals records
     the boundary certificate residual at the end of each smoothing level.
+    A configuration search returns its winning ascent with eigensolves and
+    budget_exhausted counted over the whole search.
     """
 
     domain: CircleDomain
@@ -103,7 +105,11 @@ class AscentState:
 
     @property
     def eigenspace(self) -> np.ndarray:
-        return self.spectrum.eigenvectors[:, self.spectrum.cluster_of(1)]
+        return _near_cluster(self.spectrum, NEAR_WIDTH)
+
+    @property
+    def flags(self) -> list:
+        return [name for name in ("stalled", "budget_exhausted") if getattr(self, name)]
 
 
 @dataclass
@@ -115,36 +121,6 @@ class Certificate:
     residual_conformal: float
     n: int
     eigenspace_too_small: bool = False
-
-
-@dataclass
-class ConfigurationResult:
-    """The winning ascent of a configuration search and the search's totals."""
-
-    state: AscentState
-    eigensolves: int = 0
-    budget_exhausted: bool = False
-
-    @property
-    def domain(self) -> CircleDomain:
-        return self.state.domain
-
-    @property
-    def density(self) -> BoundaryMeasureSamples:
-        return self.state.density
-
-    @property
-    def value(self) -> float:
-        return self.state.value
-
-
-@dataclass
-class SweepEntry:
-    k: int
-    value: float
-    domain: CircleDomain
-    density: BoundaryMeasureSamples
-    flags: list = field(default_factory=list)
 
 
 # -- weight handling ----------------------------------------------------------
@@ -295,15 +271,13 @@ def optimize_density(domain, init_density, eps_schedule=EPS_SCHEDULE,
     spec = None
     stalled = False
     exhausted = False
-    it = 0
     try:
         for eps in eps_schedule:
             smoothed = normalize(heat_smooth(dens, eps))
             spec = solve(smoothed)
             dens = smoothed
             value = spec.sigma1_L
-            trace.append((it, eps, value))
-            it += 1
+            trace.append((len(trace), eps, value))
             phase_stalled = False
             accepted_any = False
             s0 = 1.0
@@ -335,8 +309,7 @@ def optimize_density(domain, init_density, eps_schedule=EPS_SCHEDULE,
                 accepted_any = True
                 gain = (accepted[2] - value) / max(abs(value), 1.0)
                 dens, spec, value = accepted
-                trace.append((it, eps, value))
-                it += 1
+                trace.append((len(trace), eps, value))
                 if gain < rel_tol:
                     break
             stalled = phase_stalled
@@ -406,15 +379,6 @@ def extremality_certificate(domain, density, eigenspace, *, M: int = 16,
 
 
 # -- configuration search -----------------------------------------------------
-
-
-def _norm_symmetry(symmetry) -> str:
-    if symmetry is None:
-        return "none"
-    s = str(symmetry).lower()
-    if s not in ("none", "cyclic"):
-        raise ValueError(f"unknown symmetry {symmetry!r}")
-    return s
 
 
 def _holes_for(sym: str, k: int, p) -> list:
@@ -490,28 +454,29 @@ def _nelder_mead_max(f, x0, steps, max_iters: int) -> None:
                     vals[i] = f(pts[i])
 
 
-def optimize_configuration(k: int, symmetry="cyclic", budget=6000) -> ConfigurationResult:
+def optimize_configuration(k: int, symmetry: str = "cyclic", budget: int = 6000) -> AscentState:
     """Search hole layouts for the largest sigma_1 * L with k boundary circles.
 
     Under cyclic symmetry the k - 1 holes sit on a concentric ring at equal
     angles, leaving two parameters; without symmetry the first hole is
     rotated onto the positive axis and every center and radius is free.
     Each probe runs a cheap weight ascent; the winner is polished by the
-    default ascent of optimize_density.  The value returned is the
-    Rayleigh-Ritz sigma_1 * L of the returned weight at the degree it was
-    computed with (PROBE_M when the polish does not beat the best probe,
-    else 16).  Ritz values bound the true eigenvalue from above, so it is an
-    upper estimate for the returned weight, not a certified lower bound for
-    the supremum.
+    default ascent of optimize_density.  The winning ascent is returned,
+    with eigensolves and budget_exhausted counted over the whole search.
+    Its value is the Rayleigh-Ritz sigma_1 * L of the returned weight at the
+    degree it was computed with (PROBE_M when the polish does not beat the
+    best probe, else 16).  Ritz values bound the true eigenvalue from above,
+    so it is an upper estimate for the returned weight, not a certified lower
+    bound for the supremum.
     """
     if k < 2:
         raise ValueError("configuration search needs k >= 2")
-    sym = _norm_symmetry(symmetry)
-    bud = budget if isinstance(budget, EigensolveBudget) else EigensolveBudget(int(budget))
-    used0 = bud.used
+    if symmetry not in ("none", "cyclic"):
+        raise ValueError(f"unknown symmetry {symmetry!r}")
+    bud = EigensolveBudget(budget)
     x0 = [0.55, 0.25 / k]
     steps = [-0.2, -0.04]
-    if sym == "none":
+    if symmetry == "none":
         for j in range(1, k - 1):
             ang = 2.0 * math.pi * j / (k - 1)
             x0 += [0.55 * math.cos(ang), 0.55 * math.sin(ang), 0.25 / k]
@@ -520,16 +485,11 @@ def optimize_configuration(k: int, symmetry="cyclic", budget=6000) -> Configurat
 
     def probe(p):
         nonlocal best
-        holes = _holes_for(sym, k, p)
+        holes = _holes_for(symmetry, k, p)
         v = _violation(holes)
         if v > 0.0:
             return -10.0 - 100.0 * v
-        try:
-            dom = CircleDomain(tuple(Hole(c, r) for c, r in holes))
-        except DomainError:
-            return -10.0
-        if bud.exhausted:
-            raise BudgetExhausted("no eigensolves left for probe")
+        dom = CircleDomain(tuple(Hole(c, r) for c, r in holes))
         st = optimize_density(
             dom, BoundaryDensity.uniform(dom.k), PROBE_SCHEDULE, PROBE_ITERS,
             M=PROBE_M, budget=bud, halvings=6, rel_tol=PROBE_REL_TOL,
@@ -554,19 +514,15 @@ def optimize_configuration(k: int, symmetry="cyclic", budget=6000) -> Configurat
                 best = polished
         except BudgetExhausted:
             pass
-    return ConfigurationResult(
-        state=best,
-        eigensolves=bud.used - used0,
-        budget_exhausted=bud.exhausted,
-    )
+    return replace(best, eigensolves=bud.used, budget_exhausted=bud.exhausted)
 
 
-def sweep_k(k_list, symmetry="cyclic", budget: int = 6000):
-    """Best sigma_1 * L estimate per boundary-circle count, one row each.
+def sweep_k(k_list, symmetry: str = "cyclic", budget: int = 6000) -> list:
+    """Best ascent per boundary-circle count, one AscentState each.
 
     k = 1 is the plain disk and only the weight is optimized; every other
-    entry runs the configuration search with a fresh budget.  Flags record
-    stalls and budget exhaustion instead of raising.
+    entry runs the configuration search with a fresh budget.  Stalls and
+    budget exhaustion show in each state's flags instead of raising.
     """
     out = []
     for k in k_list:
@@ -574,15 +530,8 @@ def sweep_k(k_list, symmetry="cyclic", budget: int = 6000):
         if k < 1:
             raise ValueError("boundary circle counts must be >= 1")
         if k == 1:
-            dom = CircleDomain()
-            st = optimize_density(
-                dom, BoundaryDensity.uniform(1),
-                budget=EigensolveBudget(budget),
-            )
-            res = ConfigurationResult(st, st.eigensolves, st.budget_exhausted)
+            out.append(optimize_density(CircleDomain(), BoundaryDensity.uniform(1),
+                                        budget=EigensolveBudget(budget)))
         else:
-            res = optimize_configuration(k, symmetry, budget)
-        flags = [name for name, on in (("stalled", res.state.stalled),
-                                       ("budget_exhausted", res.budget_exhausted)) if on]
-        out.append(SweepEntry(k, res.value, res.domain, res.density, flags))
+            out.append(optimize_configuration(k, symmetry, budget))
     return out

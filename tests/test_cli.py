@@ -260,6 +260,8 @@ def test_bad_flags(workdir):
         assert cli.dispatch(["dbar", "demo", "--nt", "8", "--ntheta", ntheta,
                              "--out", "x.json"]) == 64
     assert cli.dispatch(["dbar", "demo", "--nt", "1", "--out", "x.json"]) == 64
+    for flag in ("--nt", "--ntheta"):  # the collocation grids are powers of two
+        assert cli.dispatch(["dbar", "demo", flag, "12", "--out", "x.json"]) == 64
     assert cli.dispatch(["closedform", "--fT", "0.8", "--out", "x.json"]) == 64
     assert not (workdir / "x.json").exists() and not (workdir / "x.obj").exists()
     assert read_log(workdir) == []

@@ -19,9 +19,7 @@ from steklov_lab.maximizer import (
     AscentState,
     BudgetExhausted,
     Certificate,
-    ConfigurationResult,
     EigensolveBudget,
-    SweepEntry,
     _boundary_fit,
     _boundary_traces,
     _cluster_directions,
@@ -377,6 +375,19 @@ def test_certificate_flags_small_eigenspace():
     assert cert.eigenspace_too_small
 
 
+def test_certificate_of_an_ascent_spans_its_split_optimum():
+    # the k = 2 optimum of the configuration search: the ascent leaves the
+    # critical catenoid's triple sigma_1 split by about 1e-4 relative, so
+    # the strict cluster holds one function and the near band all three
+    dom = CircleDomain((Hole(0.026730006243610015, 0.09070473280223669),))
+    st = optimize_density(dom, BoundaryDensity.uniform(2))
+    assert len(st.spectrum.cluster_of(1)) == 1
+    cert = extremality_certificate(dom, st.density, st.eigenspace)
+    assert cert.n == 3
+    assert not cert.eigenspace_too_small
+    assert cert.residual_boundary <= 1e-3
+
+
 def test_disk_certificate():
     spec = steklov_spectrum(DISK, BoundaryDensity.uniform(1), M=16)
     cert = extremality_certificate(
@@ -457,7 +468,7 @@ def test_configuration_validation():
 def test_configuration_search_k2(monkeypatch):
     monkeypatch.setattr(maximizer, "NM_ITERS", 25)
     res = optimize_configuration(2, budget=1500)
-    assert isinstance(res, ConfigurationResult)
+    assert isinstance(res, AscentState)
     assert res.domain.k == 2
     assert res.value >= 0.99 * STAR_VALUE
     assert res.eigensolves == 1500
@@ -471,8 +482,8 @@ def test_sweep_disk_only():
     entries = sweep_k([1])
     assert len(entries) == 1
     e = entries[0]
-    assert isinstance(e, SweepEntry)
-    assert e.k == 1
+    assert isinstance(e, AscentState)
+    assert e.domain.k == 1
     assert abs(e.value - 2 * math.pi) < 1e-8
     assert e.flags == []
 

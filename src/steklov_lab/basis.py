@@ -12,7 +12,9 @@ mean vector come from the same trapezoid quadrature on every circle, which
 is spectrally accurate for these analytic integrands.  All k circles are
 evaluated in one call and cached as one (size, k, n_quad) trace table and
 one normal-derivative table, so each matrix is one product over the k * n_quad
-flattened boundary nodes.  Off the boundary, ``dz_at`` differentiates
+flattened boundary nodes.  For the band eigensolve ``whitened_traces``
+caches the Cholesky factor of the Dirichlet block and the traces whitened
+by it.  Off the boundary, ``dz_at`` differentiates
 given coefficient columns directly, one Horner sum per circle, so no
 (size, npts) table is built for interior points.
 """
@@ -23,6 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 
 from .domain import BoundaryMeasureSamples, CircleDomain, validate
 
@@ -59,6 +62,7 @@ class HarmonicBasis:
         self.n_quad = _quad_size(M)
         self._boundary_tables: tuple[np.ndarray, np.ndarray] | None = None
         self._dirichlet: np.ndarray | None = None
+        self._whitened: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def size(self) -> int:
@@ -201,6 +205,22 @@ def dirichlet_matrix(basis: HarmonicBasis) -> np.ndarray:
     A = P @ D.T
     basis._dirichlet = 0.5 * (A + A.T)
     return basis._dirichlet
+
+
+def whitened_traces(basis: HarmonicBasis) -> tuple[np.ndarray, np.ndarray]:
+    """(R, G): A' = R^T R and G = R^-T P', cached per basis.
+
+    A' is the Dirichlet block without the constant element and P' the trace
+    table without it, flattened over the k * n_quad boundary nodes; so the
+    deflated mass block of any weight w is R^T ((G w) G^T - g g^T / L) R
+    with g = G w.  A Dirichlet block that is not positive definite raises
+    LinAlgError.
+    """
+    if basis._whitened is None:
+        R = sla.cholesky(dirichlet_matrix(basis)[1:, 1:])
+        P = basis.traces().reshape(basis.size, -1)[1:]
+        basis._whitened = (R, sla.solve_triangular(R, P, trans="T"))
+    return basis._whitened
 
 
 def boundary_matrices(

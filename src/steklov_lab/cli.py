@@ -13,9 +13,11 @@ deterministic: with the same code, the same manifest produces byte-identical
 files on the same machine and BLAS library.  BLAS runs on one thread unless
 OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS is set; the thread
 count can move the last digits of eigenvalues, so the manifest hash records
-it (k=2 of ``sweep --k 2,3 --budget 20 --out sweep.csv`` is
-6.571530106711584 under hash 2af83fe76915424b with one thread and
-6.5715301067115846 under be0dba71d4255ef4 with OPENBLAS_NUM_THREADS=2).
+it (``sweep --k 2,3 --budget 20 --out sweep.csv`` runs under hash
+2af83fe76915424b with one thread and under be0dba71d4255ef4 with
+OPENBLAS_NUM_THREADS=2; ``spectrum --holes "0.3,0,0.2;-0.4,0.1,0.15"``
+writes sigma1_L 6.498655486332764 with one thread and 6.498655486332763
+with two).
 """
 
 from __future__ import annotations
@@ -209,6 +211,8 @@ def _int_list(text: str) -> list[int]:
             f"must be a comma-separated integer list, got {text!r}")
     if not ks:
         raise argparse.ArgumentTypeError("must name at least one circle count")
+    if min(ks) < 1:
+        raise argparse.ArgumentTypeError(f"circle counts must be at least 1, got {text!r}")
     return ks
 
 
@@ -381,7 +385,7 @@ def build_parser() -> _Parser:
     _domain_flags(mx)
     mx.add_argument("--modes", type=int, default=16)
     mx.add_argument("--iters", type=int, default=40)
-    mx.add_argument("--budget", type=int, default=10**6)
+    mx.add_argument("--budget", type=_int_at_least(1), default=10**6)
     mx.add_argument("--certificate", action="store_true")
     mx.add_argument("--out", required=True)
     mx.set_defaults(func=_cmd_maximize, cluster_tol=CLUSTER_TOL)
@@ -390,7 +394,7 @@ def build_parser() -> _Parser:
     sw.add_argument("--k", type=_int_list, required=True,
                     help="comma-separated circle counts")
     sw.add_argument("--symmetry", choices=("cyclic", "none"), default="cyclic")
-    sw.add_argument("--budget", type=int, default=6000)
+    sw.add_argument("--budget", type=_int_at_least(1), default=6000)
     sw.add_argument("--out", required=True)
     sw.set_defaults(func=_cmd_sweep, cluster_tol=CLUSTER_TOL)
 

@@ -1,11 +1,24 @@
 """Weighted Steklov spectra on circle domains by Rayleigh-Ritz.
 
-``steklov_spectrum`` assembles the harmonic-basis matrices and solves the
-generalized symmetric problem ``A x = sigma B x`` on the complement of the
-constant with zero weighted boundary mean: the weighted mean is subtracted
-from the mass block of the non-constant elements (which deflates the constant
-exactly), and one generalized symmetric eigensolve against their Dirichlet
-block gives the eigenvalues 1 / sigma.
+``steklov_spectrum`` solves the generalized symmetric problem
+``A x = sigma B x`` on the complement of the constant with zero weighted
+boundary mean: the weighted mean is subtracted from the mass block of the
+non-constant elements (which deflates the constant exactly), and the
+eigenvalues 1 / sigma of that block against their Dirichlet block are
+computed by one of two solves.
+
+* full (``n_eigs=None``, or ``n_eigs`` at least the basis size): the mass
+  matrix is assembled and ``solve_eigensystem`` makes one LAPACK ``sygvd``
+  call (Cholesky of the Dirichlet block, reduction, every eigenpair).
+* band (``1 < n_eigs < basis.size``, the ascent's request): the basis caches
+  the Cholesky factor R of the Dirichlet block and the traces whitened by
+  it, G = R^-T P'.  Each weight w then gives C = (G w) G^T - g g^T / L with
+  g = G w, whose top n_eigs - 1 eigenpairs come from a tridiagonal
+  reduction and MRRR on that index range (LAPACK ``sytrd``, ``stemr``,
+  ``ormqr``); only those columns are back-transformed.  Whitening costs a
+  second mass assembly, so it pays only on a basis that is solved many
+  times.
+
 sigma_0 = 0 is returned with the constant eigenvector.  All returned
 eigenvalues are Rayleigh-Ritz upper bounds of the true Steklov eigenvalues
 and decrease as the degree M grows.
@@ -17,9 +30,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg import lapack
 
-from .basis import HarmonicBasis, boundary_matrices, build_basis
-from .domain import CircleDomain, as_samples
+from .basis import HarmonicBasis, boundary_matrices, build_basis, whitened_traces
+from .domain import BoundaryMeasureSamples, CircleDomain, as_samples
 
 CLUSTER_TOL = 1e-6
 
@@ -89,18 +103,100 @@ def steklov_spectrum(
     """First ``n_eigs`` weighted Steklov eigenvalues (sigma_0 = 0 included).
 
     ``density`` is a BoundaryDensity or BoundaryMeasureSamples; a given
-    ``basis`` must be built on ``domain``.
+    ``basis`` must be built on ``domain``.  ``metadata["solve"]`` names the
+    solve that ran, ``"band"`` or ``"full"`` (see the module docstring).
     """
     if basis is None:
         basis = build_basis(domain, M)
     elif basis.domain != domain:
         raise ValueError("basis was built on another domain")
-    sys_ = boundary_matrices(basis, as_samples(domain, density, basis.n_quad))
-    return solve_eigensystem(
-        sys_.A, sys_.B, sys_.m, n_eigs,
-        cluster_tol=cluster_tol,
-        metadata={"M": basis.M, "n_quad": basis.n_quad},
+    samples = as_samples(domain, density, basis.n_quad)
+    metadata = {"M": basis.M, "n_quad": basis.n_quad}
+    if n_eigs is None or not 1 < n_eigs < basis.size:
+        sys_ = boundary_matrices(basis, samples)
+        return solve_eigensystem(
+            sys_.A, sys_.B, sys_.m, n_eigs, cluster_tol=cluster_tol, metadata=metadata,
+        )
+    return _band_solve(basis, samples, n_eigs, cluster_tol, metadata)
+
+
+def _band_solve(
+    basis: HarmonicBasis,
+    samples: BoundaryMeasureSamples,
+    n_eigs: int,
+    cluster_tol: float,
+    metadata: dict,
+) -> SteklovSpectrum:
+    """The top n_eigs - 1 values of mu through the whitened traces.
+
+    With A' = R^T R and y = R x', the deflated problem becomes the standard
+    C y = mu y, C = (G w) G^T - g g^T / L, g = G w = R^-T m'.  Eigenvectors
+    y of unit length give B-orthonormal x' = R^-1 y / sqrt(mu), and the
+    constant row -(m' . x') / L is -(g . y) / (L sqrt(mu)).  Directions are
+    dropped against the largest mu as in ``solve_eigensystem``, so ``rank``
+    and ``dropped`` count the band only.  A non-finite weight raises
+    ValueError.
+    """
+    n = basis.size
+    w = samples.values.reshape(-1) * (2.0 * np.pi / basis.n_quad)
+    if not np.all(np.isfinite(w)):
+        raise ValueError("boundary weight has non-finite values")
+    L_total = float(np.sum(w))  # the constant element's trace is 1
+    if not L_total > 0.0:
+        raise MassMatrixDegenerate(f"weighted boundary length {L_total} is not positive")
+    R, G = whitened_traces(basis)
+    g = G @ w
+    C = (G * w) @ G.T - np.outer(g, g) / L_total
+    mu, Y = _top_eigenpairs(C, n_eigs - 1)
+    kept = _kept(mu, n)
+    mu, Y = mu[:kept], Y[:, :kept]
+    root = np.sqrt(mu)
+    X = sla.solve_triangular(R, Y, check_finite=False) / root
+    metadata.update({"dropped": n_eigs - 1 - kept, "rank": kept + 1, "solve": "band"})
+    return _spectrum(mu, X, -(g @ Y) / (L_total * root), L_total, cluster_tol, metadata)
+
+
+def _kept(mu: np.ndarray, n: int) -> int:
+    """Leading values of mu (descending) above (n - 1) eps mu_max; the rest carry no mass."""
+    return int(np.count_nonzero(mu > (n - 1) * np.finfo(float).eps * abs(mu[0])))
+
+
+def _spectrum(mu, X, row0, L_total, cluster_tol, metadata) -> SteklovSpectrum:
+    """sigma_0 = 0 with the constant, then sigma = 1 / mu with the columns (row0; X)."""
+    vals = np.concatenate(([0.0], 1.0 / mu))
+    vecs = np.zeros((X.shape[0] + 1, vals.size))
+    vecs[0, 0] = 1.0 / np.sqrt(L_total)
+    vecs[0, 1:] = row0
+    vecs[1:, 1:] = X
+    return SteklovSpectrum(
+        eigenvalues=vals,
+        eigenvectors=vecs,
+        clusters=_cluster(vals, cluster_tol),
+        boundary_length=L_total,
+        metadata=metadata,
     )
+
+
+def _top_eigenpairs(C: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The p largest eigenvalues of symmetric C, descending, with orthonormal vectors.
+
+    Householder tridiagonalization (LAPACK sytrd, lower triangle), MRRR on
+    the tridiagonal for the index range only (stemr), and the reflectors
+    applied to those p vectors (ormqr).  syevr does not run MRRR on an index
+    subset but bisection and inverse iteration, which costs more at these
+    sizes; it stays as the fallback for a stemr that does not converge.
+    """
+    n = C.shape[0]
+    T, d, e, tau, _ = lapack.dsytrd(C, lower=1)
+    # range 3 selects the 1-based indices n - p + 1 .. n of the ascending values
+    m, mu, Y, info = lapack.dstemr(d, np.append(e, 0.0), 3, 0.0, 0.0, n - p + 1, n)
+    if info or m != p:
+        mu, Y = sla.eigh(C, subset_by_index=[n - p, n - 1], driver="evr", check_finite=False)
+        return mu[::-1], Y[:, ::-1]
+    Y = Y[:, p - 1::-1]
+    # Q = H(1) ... H(n - 1) acts on rows 1.. as the Q of a QR factorization
+    Y[1:] = lapack.dormqr("L", "N", T[1:, :-1], tau, Y[1:], 64 * p)[0]
+    return mu[p - 1::-1], Y
 
 
 def solve_eigensystem(
@@ -133,26 +229,14 @@ def solve_eigensystem(
     # LAPACK sygvd: Cholesky of A', reduction, divide and conquer; Z^T A' Z = I
     mu, Z = sla.eigh(S, A[1:, 1:], driver="gvd")
     mu, Z = mu[::-1], Z[:, ::-1]
-    kept = int(np.count_nonzero(mu > (n - 1) * np.finfo(float).eps * abs(mu[0])))
+    kept = _kept(mu, n)
 
     want = kept + 1 if n_eigs is None else min(n_eigs, kept + 1)
     mu = mu[: want - 1]
     X = Z[:, : want - 1] / np.sqrt(mu)
-    vals = np.concatenate(([0.0], 1.0 / mu))
-    vecs = np.zeros((n, want))
-    vecs[0, 0] = 1.0 / np.sqrt(L_total)
-    vecs[0, 1:] = -(mp @ X) / L_total
-    vecs[1:, 1:] = X
-
     md = dict(metadata or {})
-    md.update({"dropped": n - 1 - kept, "rank": kept + 1})
-    return SteklovSpectrum(
-        eigenvalues=vals,
-        eigenvectors=vecs,
-        clusters=_cluster(vals, cluster_tol),
-        boundary_length=L_total,
-        metadata=md,
-    )
+    md.update({"dropped": n - 1 - kept, "rank": kept + 1, "solve": "full"})
+    return _spectrum(mu, X, -(mp @ X) / L_total, L_total, cluster_tol, md)
 
 
 def coarse_bound(gamma: int, k: int) -> float:

@@ -40,6 +40,10 @@ GRAD_TOL = 1e-9
 # relative width of the band above sigma_1 whose eigenvectors are lifted
 # jointly by the ascent and fitted jointly by the phase residual
 NEAR_WIDTH = 1e-2
+# ascent solves ask for a band of sigma_0 and the next BAND - 1 eigenvalues;
+# a band whose top value lies within 1.5 NEAR_WIDTH of sigma_1 may have cut
+# the near cluster, and the solve falls back to the full spectrum
+BAND = 9
 # configuration search: each probe is a short ascent at degree PROBE_M over
 # PROBE_SCHEDULE; the simplex stops after NM_ITERS steps or once its values
 # agree to NM_FTOL (relative) or its vertices to NM_XTOL
@@ -57,13 +61,17 @@ class BudgetExhausted(RuntimeError):
 
 
 class EigensolveBudget:
-    """Counter shared between nested searches; take() enforces the limit."""
+    """Counter shared between nested searches; take() enforces the limit.
+
+    fallbacks counts the band solves redone in full; a redo takes no unit.
+    """
 
     def __init__(self, limit: int = 10**9):
         if limit < 1:
             raise ValueError("budget must allow at least one eigensolve")
         self.limit = int(limit)
         self.used = 0
+        self.fallbacks = 0
 
     def take(self) -> None:
         if self.used >= self.limit:
@@ -85,8 +93,9 @@ class AscentState:
     value) rows; within one smoothing level the values are nondecreasing
     because steps are only accepted on improvement.  phase_residuals records
     the boundary certificate residual at the end of each smoothing level.
-    A configuration search returns its winning ascent with eigensolves and
-    budget_exhausted counted over the whole search.
+    fallbacks counts the solves whose band was redone in full.  A
+    configuration search returns its winning ascent with eigensolves,
+    fallbacks and budget_exhausted counted over the whole search.
     """
 
     domain: CircleDomain
@@ -97,6 +106,7 @@ class AscentState:
     stalled: bool = False
     budget_exhausted: bool = False
     eigensolves: int = 0
+    fallbacks: int = 0
     phase_residuals: list = field(default_factory=list)
 
     @property
@@ -247,7 +257,9 @@ def optimize_density(domain, init_density, eps_schedule=EPS_SCHEDULE,
     accepted one, since near an eigenvalue crossing the useful window can
     sit several orders of magnitude below 1.  A level ends on stationarity,
     on relative gains below rel_tol, on max_iters, or when no candidate
-    direction improves (stalled).  The budget, when given, is shared with
+    direction improves (stalled).  Each solve asks for the band of BAND
+    eigenvalues and is redone on the full spectrum when the band may have
+    cut the near cluster.  The budget, when given, is shared with
     the caller and the best state so far is returned once it runs out; a
     level whose first solve does not fit leaves the previous level's state.
     """
@@ -259,11 +271,18 @@ def optimize_density(domain, init_density, eps_schedule=EPS_SCHEDULE,
     basis = build_basis(domain, M)
     if budget is None:
         budget = EigensolveBudget()
-    used0 = budget.used
+    used0, fallbacks0 = budget.used, budget.fallbacks
 
     def solve(d):
         budget.take()
-        return steklov_spectrum(domain, d, M, basis=basis)
+        spec = steklov_spectrum(domain, d, M, BAND, basis=basis)
+        vals = spec.eigenvalues
+        if spec.metadata["solve"] == "band" and (
+            vals.size < BAND or vals[-1] - vals[1] <= 1.5 * NEAR_WIDTH * max(1.0, vals[1])
+        ):
+            budget.fallbacks += 1
+            spec = steklov_spectrum(domain, d, M, basis=basis)
+        return spec
 
     dens = normalize(as_samples(domain, init_density, basis.n_quad))
     trace = []
@@ -328,6 +347,7 @@ def optimize_density(domain, init_density, eps_schedule=EPS_SCHEDULE,
         stalled=stalled,
         budget_exhausted=exhausted,
         eigensolves=budget.used - used0,
+        fallbacks=budget.fallbacks - fallbacks0,
         phase_residuals=phase_residuals,
     )
 
@@ -462,7 +482,8 @@ def optimize_configuration(k: int, symmetry: str = "cyclic", budget: int = 6000)
     rotated onto the positive axis and every center and radius is free.
     Each probe runs a cheap weight ascent; the winner is polished by the
     default ascent of optimize_density.  The winning ascent is returned,
-    with eigensolves and budget_exhausted counted over the whole search.
+    with eigensolves, fallbacks and budget_exhausted counted over the whole
+    search.
     Its value is the Rayleigh-Ritz sigma_1 * L of the returned weight at the
     degree it was computed with (PROBE_M when the polish does not beat the
     best probe, else 16).  Ritz values bound the true eigenvalue from above,
@@ -514,7 +535,8 @@ def optimize_configuration(k: int, symmetry: str = "cyclic", budget: int = 6000)
                 best = polished
         except BudgetExhausted:
             pass
-    return replace(best, eigensolves=bud.used, budget_exhausted=bud.exhausted)
+    return replace(best, eigensolves=bud.used, fallbacks=bud.fallbacks,
+                   budget_exhausted=bud.exhausted)
 
 
 def sweep_k(k_list, symmetry: str = "cyclic", budget: int = 6000) -> list:

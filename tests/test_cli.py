@@ -263,7 +263,12 @@ def test_bad_flags(workdir):
     for flag in ("--nt", "--ntheta"):  # the collocation grids are powers of two
         assert cli.dispatch(["dbar", "demo", flag, "12", "--out", "x.json"]) == 64
     assert cli.dispatch(["closedform", "--fT", "0.8", "--out", "x.json"]) == 64
-    assert not (workdir / "x.json").exists() and not (workdir / "x.obj").exists()
+    # rejected while parsing, before the k = 2 search runs
+    assert cli.dispatch(["sweep", "--k", "2,0", "--out", "x.csv"]) == 64
+    assert cli.dispatch(["sweep", "--k", "2", "--budget", "0", "--out", "x.csv"]) == 64
+    assert cli.dispatch(["maximize", "--disk", "--budget", "0", "--out", "x.json"]) == 64
+    for name in ("x.json", "x.obj", "x.csv"):
+        assert not (workdir / name).exists()
     assert read_log(workdir) == []
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from steklov_lab import dtn
 from steklov_lab.basis import boundary_matrices, build_basis
 from steklov_lab.closedform import annulus_spectrum
 from steklov_lab.domain import (
@@ -25,7 +26,7 @@ from steklov_lab.dtn import (
     solve_eigensystem,
     steklov_spectrum,
 )
-from steklov_lab.maximizer import extremality_certificate
+from steklov_lab.maximizer import NEAR_WIDTH, _near_cluster, extremality_certificate
 
 DISK = CircleDomain()
 UNIFORM1 = BoundaryDensity.uniform(1)
@@ -206,6 +207,72 @@ def test_matches_cholesky_reference_on_seeded_domains():
             assert np.sqrt(np.max(np.abs(np.diag(E.T @ B @ E)))) < 1e-8
 
 
+def test_band_matches_full_path_on_seeded_domains():
+    p = 9
+    for i in range(40):
+        k, M = 2 + i % 4, (12, 24, 48)[(i // 4) % 3]
+        dom, dens = _seeded_weighted_domain(100 + i, k)
+        basis = build_basis(dom, M)
+        mats = boundary_matrices(basis, as_samples(dom, dens, basis.n_quad))
+        full = steklov_spectrum(dom, dens, basis=basis)
+        band = steklov_spectrum(dom, dens, basis=basis, n_eigs=p)
+        assert (full.metadata["solve"], band.metadata["solve"]) == ("full", "band")
+        assert band.metadata["rank"] == p and band.metadata["dropped"] == 0
+        vals, V = band.eigenvalues, band.eigenvectors
+        assert vals[0] == 0.0 and vals.size == p
+        assert np.max(np.abs(vals[1:] / full.eigenvalues[1:p] - 1.0)) < 1e-10
+        assert abs(band.boundary_length / full.boundary_length - 1.0) < 1e-14
+        assert np.max(np.abs(V.T @ mats.B @ V - np.eye(p))) < 1e-10
+        assert np.max(np.abs(mats.m @ V[:, 1:])) < 1e-10
+        # the near band lies inside the band here; its span is the full path's
+        near, ref = _near_cluster(band, NEAR_WIDTH), _near_cluster(full, NEAR_WIDTH)
+        assert near.shape == ref.shape and near.shape[1] < p - 1
+        E = near - ref @ (ref.T @ mats.B @ near)
+        assert np.sqrt(np.max(np.abs(np.diag(E.T @ mats.B @ E)))) < 1e-8
+
+
+def test_band_falls_back_to_syevr_when_stemr_fails(monkeypatch):
+    dom, dens = _seeded_weighted_domain(7, 3)
+    basis = build_basis(dom, 12)
+    ref = steklov_spectrum(dom, dens, basis=basis, n_eigs=9)
+    stemr = dtn.lapack.dstemr
+    monkeypatch.setattr(dtn.lapack, "dstemr", lambda *a, **kw: (*stemr(*a, **kw)[:3], 1))
+    spec = steklov_spectrum(dom, dens, basis=basis, n_eigs=9)
+    assert np.max(np.abs(spec.eigenvalues[1:] / ref.eigenvalues[1:] - 1.0)) < 1e-12
+    # the same columns up to sign (the values here are simple)
+    dots = np.abs(np.sum(spec.eigenvectors * ref.eigenvectors, axis=0))
+    norms = np.linalg.norm(ref.eigenvectors, axis=0) ** 2
+    assert np.max(np.abs(dots / norms - 1.0)) < 1e-8
+
+
+def test_band_counts_dropped_columns_on_the_band():
+    # weight on 10 of 256 nodes: the deflated mass block has rank 9, so of
+    # the 12 values a band of 13 asks for, 3 carry no mass
+    values = np.zeros(256)
+    values[::26] = 1.0
+    samples = BoundaryMeasureSamples((values,), (1.0,))
+    full = steklov_spectrum(DISK, samples, 12)
+    band = steklov_spectrum(DISK, samples, 12, n_eigs=13)
+    assert full.metadata["rank"] == band.metadata["rank"] == 10
+    assert (full.metadata["dropped"], band.metadata["dropped"]) == (15, 3)
+    assert band.eigenvalues.size == 10
+    assert np.max(np.abs(band.eigenvalues[1:] / full.eigenvalues[1:10] - 1.0)) < 1e-10
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_band_non_finite_weight_raises(bad):
+    values = np.ones(256)
+    values[7] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        steklov_spectrum(DISK, BoundaryMeasureSamples((values,), (1.0,)), 12, n_eigs=5)
+
+
+def test_band_nonpositive_length_raises():
+    samples = BoundaryMeasureSamples((np.zeros(256),), (1.0,))
+    with pytest.raises(MassMatrixDegenerate):
+        steklov_spectrum(DISK, samples, 12, n_eigs=5)
+
+
 @pytest.mark.parametrize("where", ["A", "B"])
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
 def test_non_finite_input_raises(where, bad):
@@ -277,8 +344,9 @@ def test_inputs_of_another_domain_are_rejected():
     assert abs(steklov_spectrum(a, uniform).sigma1_L - 6.480740458928641) < 1e-9
     assert abs(steklov_spectrum(b, uniform).sigma1_L - 6.671069611073525) < 1e-9
     basis_b = build_basis(b, 16)
-    with pytest.raises(ValueError, match="another domain"):
-        steklov_spectrum(a, uniform, 16, basis=basis_b)
+    for n_eigs in (None, 9):  # the full and the band path
+        with pytest.raises(ValueError, match="another domain"):
+            steklov_spectrum(a, uniform, 16, n_eigs, basis=basis_b)
     with pytest.raises(ValueError, match="another domain"):
         extremality_certificate(a, uniform, np.eye(basis_b.size)[:, 1:3], basis=basis_b)
     with pytest.raises(ValueError, match="radii"):
@@ -300,6 +368,9 @@ def test_residuals_and_metadata():
     assert spec.metadata["M"] == 10
     assert spec.metadata["n_quad"] == 256
     assert spec.metadata["dropped"] == 0
+    assert spec.metadata["solve"] == "band"
+    # a request of the whole basis is the full solve
+    assert steklov_spectrum(DISK, UNIFORM1, M=10, n_eigs=21).metadata["solve"] == "full"
     # relative residual |A v - sigma B v| / |B v| of each returned pair
     basis = build_basis(DISK, 10)
     sys_ = boundary_matrices(basis, as_samples(DISK, UNIFORM1, basis.n_quad))

@@ -5,6 +5,10 @@ thread adds only wake-up cost and stalls of several milliseconds.  numpy and
 scipy each bundle their own OpenBLAS, which read the thread variables when
 they load, so the count is set at runtime through each library's exported
 setter.  A library that is absent or lacks the symbol is skipped.
+
+Importing ``scipy`` only locates its bundled library; ``scipy.linalg`` loads
+on the first eigensolve and links to the library opened here, so the pin
+applies to the LAPACK that solve calls.
 """
 
 from __future__ import annotations

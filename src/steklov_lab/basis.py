@@ -14,9 +14,10 @@ evaluated in one call and cached as one (size, k, n_quad) trace table and
 one normal-derivative table, so each matrix is one product over the k * n_quad
 flattened boundary nodes.  For the band eigensolve ``whitened_traces``
 caches the Cholesky factor of the Dirichlet block and the traces whitened
-by it.  Off the boundary, ``dz_at`` differentiates
-given coefficient columns directly, one Horner sum per circle, so no
-(size, npts) table is built for interior points.
+by it; it is the only LAPACK call here, and it imports ``scipy.linalg``
+itself, so the surface side never loads it.  Off the boundary, ``dz_at``
+differentiates given coefficient columns directly, one Horner sum per
+circle, so no (size, npts) table is built for interior points.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .domain import BoundaryMeasureSamples, CircleDomain, validate
 
@@ -217,6 +217,8 @@ def whitened_traces(basis: HarmonicBasis) -> tuple[np.ndarray, np.ndarray]:
     LinAlgError.
     """
     if basis._whitened is None:
+        import scipy.linalg as sla
+
         R = sla.cholesky(dirichlet_matrix(basis)[1:, 1:])
         P = basis.traces().reshape(basis.size, -1)[1:]
         basis._whitened = (R, sla.solve_triangular(R, P, trans="T"))

@@ -19,6 +19,10 @@ computed by one of two solves.
   second mass assembly, so it pays only on a basis that is solved many
   times.
 
+LAPACK loads on the first eigensolve: the solves import ``scipy.linalg``
+themselves, so a process that runs none (the closed forms, surfaces and
+d-bar) never loads it, and it links to the OpenBLAS that ``_blas`` pinned.
+
 sigma_0 = 0 is returned with the constant eigenvector.  All returned
 eigenvalues are Rayleigh-Ritz upper bounds of the true Steklov eigenvalues
 and decrease as the degree M grows.
@@ -29,8 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.linalg import lapack
 
 from .basis import HarmonicBasis, boundary_matrices, build_basis, whitened_traces
 from .domain import BoundaryMeasureSamples, CircleDomain, as_samples
@@ -105,7 +107,9 @@ def steklov_spectrum(
     ``density`` is a BoundaryDensity or BoundaryMeasureSamples; a given
     ``basis`` must be built on ``domain``.  ``metadata["solve"]`` names the
     solve that ran, ``"band"`` or ``"full"`` (see the module docstring).
+    ``n_eigs`` below 1 raises ValueError.
     """
+    _check_n_eigs(n_eigs)
     if basis is None:
         basis = build_basis(domain, M)
     elif basis.domain != domain:
@@ -118,6 +122,11 @@ def steklov_spectrum(
             sys_.A, sys_.B, sys_.m, n_eigs, cluster_tol=cluster_tol, metadata=metadata,
         )
     return _band_solve(basis, samples, n_eigs, cluster_tol, metadata)
+
+
+def _check_n_eigs(n_eigs: int | None) -> None:
+    if n_eigs is not None and n_eigs < 1:
+        raise ValueError(f"n_eigs must be at least 1 (sigma_0 counts), got {n_eigs}")
 
 
 def _band_solve(
@@ -137,6 +146,8 @@ def _band_solve(
     and ``dropped`` count the band only.  A non-finite weight raises
     ValueError.
     """
+    import scipy.linalg as sla
+
     n = basis.size
     w = samples.values.reshape(-1) * (2.0 * np.pi / basis.n_quad)
     if not np.all(np.isfinite(w)):
@@ -186,6 +197,9 @@ def _top_eigenpairs(C: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     subset but bisection and inverse iteration, which costs more at these
     sizes; it stays as the fallback for a stemr that does not converge.
     """
+    import scipy.linalg as sla
+    from scipy.linalg import lapack
+
     n = C.shape[0]
     T, d, e, tau, _ = lapack.dsytrd(C, lower=1)
     # range 3 selects the 1-based indices n - p + 1 .. n of the ascending values
@@ -217,8 +231,12 @@ def solve_eigensystem(
     x' = z / sqrt(mu) is B-orthonormal.  Directions with mu <= (n - 1) eps
     mu_max carry no boundary mass and are dropped; a Dirichlet block that is
     not positive definite raises LinAlgError, and a non-finite entry of A' or
-    B' raises ValueError.
+    B' or an ``n_eigs`` below 1 raises ValueError.
     """
+    import scipy.linalg as sla
+
+    _check_n_eigs(n_eigs)
+
     n = A.shape[0]
     L_total = float(m[0])  # m against the constant element is the weighted length
     if not L_total > 0.0:

@@ -43,6 +43,30 @@ def test_user_thread_variable_is_left_alone(var):
     assert _run(MANIFEST, **{var: "2"}) == [{"numpy": 2, "scipy": 2}] * 2
 
 
+EIGENSOLVE_FIRST = """
+import json, sys
+import steklov_lab
+assert "scipy.linalg" not in sys.modules
+steklov_lab.steklov_spectrum(steklov_lab.CircleDomain(), steklov_lab.BoundaryDensity.uniform(1), 4)
+from steklov_lab._blas import blas_threads
+maps = []
+if sys.platform.startswith("linux"):
+    with open("/proc/self/maps") as fh:
+        maps = sorted({ln.split()[-1] for ln in fh if "/libscipy_openblas-" in ln})
+print(json.dumps([blas_threads(), maps]))
+"""
+
+
+@pytest.mark.parametrize("var, n", [(None, 1), ("OPENBLAS_NUM_THREADS", 2)])
+def test_pin_holds_when_lapack_loads_after_the_package(var, n):
+    # _blas opens scipy's OpenBLAS through ctypes before scipy.linalg links
+    # to it; the eigensolve must find that same library, mapped once
+    threads, maps = _run(EIGENSOLVE_FIRST, **({var: str(n)} if var else {}))
+    assert threads == {"numpy": n, "scipy": n}
+    if sys.platform.startswith("linux"):
+        assert len(maps) == 1
+
+
 def test_missing_libraries_are_skipped(tmp_path):
     code = """
 import json

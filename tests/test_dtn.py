@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from scipy.linalg import lapack
 
 from steklov_lab import dtn
 from steklov_lab.basis import boundary_matrices, build_basis
@@ -235,8 +236,8 @@ def test_band_falls_back_to_syevr_when_stemr_fails(monkeypatch):
     dom, dens = _seeded_weighted_domain(7, 3)
     basis = build_basis(dom, 12)
     ref = steklov_spectrum(dom, dens, basis=basis, n_eigs=9)
-    stemr = dtn.lapack.dstemr
-    monkeypatch.setattr(dtn.lapack, "dstemr", lambda *a, **kw: (*stemr(*a, **kw)[:3], 1))
+    stemr = lapack.dstemr
+    monkeypatch.setattr(lapack, "dstemr", lambda *a, **kw: (*stemr(*a, **kw)[:3], 1))
     spec = steklov_spectrum(dom, dens, basis=basis, n_eigs=9)
     assert np.max(np.abs(spec.eigenvalues[1:] / ref.eigenvalues[1:] - 1.0)) < 1e-12
     # the same columns up to sign (the values here are simple)
@@ -271,6 +272,22 @@ def test_band_nonpositive_length_raises():
     samples = BoundaryMeasureSamples((np.zeros(256),), (1.0,))
     with pytest.raises(MassMatrixDegenerate):
         steklov_spectrum(DISK, samples, 12, n_eigs=5)
+
+
+@pytest.mark.parametrize("n_eigs", [0, -1])
+def test_n_eigs_below_one_raises(n_eigs, monkeypatch):
+    mats = boundary_matrices(build_basis(DISK, 4), as_samples(DISK, UNIFORM1, 256))
+    with pytest.raises(ValueError, match="n_eigs"):
+        solve_eigensystem(mats.A, mats.B, mats.m, n_eigs)
+    # refused before a basis is built
+    monkeypatch.setattr(dtn, "build_basis", lambda *a: pytest.fail("basis built"))
+    with pytest.raises(ValueError, match="n_eigs"):
+        steklov_spectrum(DISK, UNIFORM1, 4, n_eigs)
+
+
+def test_one_eigenvalue_is_sigma0():
+    spec = steklov_spectrum(DISK, UNIFORM1, 4, 1)
+    assert spec.eigenvalues.tolist() == [0.0] and spec.eigenvectors.shape == (9, 1)
 
 
 @pytest.mark.parametrize("where", ["A", "B"])

@@ -17,8 +17,9 @@ an annulus-type free boundary minimal surface whose compatibility integral
 vanishes, it constructs an ambient conformal vector field Y = Y_tan + psi*nu
 with x . Y = 0 on the boundary, and checks the second-variation identity
 Q(Y, Y) = S(psi nu, psi nu) connecting the energy and area forms.  The
-candidates for psi are one stacked closure (nu1, nu2, nu3, x.nu); every psi
-handed out is a fixed linear combination of it.
+candidates for psi are one stacked closure (nu1, nu2, nu3, x.nu), whose
+table is built once per grid and kept on the surface; every psi handed out
+is a fixed linear combination of it.
 """
 
 from __future__ import annotations
@@ -255,11 +256,38 @@ class ConformalFieldSpace:
         return [self.kernel_psi(j) for j in range(self.dim_C1)]
 
 
+def _candidates(surface: ParametricSurface, t, theta) -> np.ndarray:
+    """The candidate table (nu1, nu2, nu3, x.nu) at (t, theta), read-only.
+
+    The surface keeps the tables of the two grids used last, keyed by the
+    shape and bytes of t and theta, so an input changed in place is a new
+    key.  A psi is read on the mesh, the d-bar grid, the mesh, the boundary
+    and the mesh again, and the d-bar datum and Y read nu from the same
+    table: each grid's table, and its nu, is built once.
+    """
+    t = np.asarray(t, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    memo = surface._cache.setdefault("candidates", {})
+    key = (t.shape, theta.shape, t.tobytes(), theta.tobytes())
+    table = memo.pop(key, None)
+    if table is None:
+        if len(memo) >= 2:
+            del memo[next(iter(memo))]  # the grid used least recently
+        nu = surface.unit_normal(t, theta)
+        x_nu = np.sum(surface.phi(t, theta) * nu, axis=-1, keepdims=True)
+        table = np.concatenate([nu, x_nu], axis=-1)
+        table.flags.writeable = False
+    memo[key] = table
+    return table
+
+
 def _shape_weight(surface: ParametricSurface, t, theta):
-    """(phi_tt.nu + i phi_ttheta.nu) / |phi_t|^2, the d-bar datum per unit psi."""
-    pt = surface.phi_t(t, theta)
-    nu = surface._normal_from_tangents(pt, surface.phi_theta(t, theta))
-    lam2 = np.sum(pt**2, axis=-1)
+    """(phi_tt.nu + i phi_ttheta.nu) / |phi_t|^2, the d-bar datum per unit psi.
+
+    nu is read from the candidate table, which psi has built on this grid.
+    """
+    nu = _candidates(surface, t, theta)[..., :3]
+    lam2 = np.sum(surface.phi_t(t, theta) ** 2, axis=-1)
     h11 = np.sum(surface.phi_tt(t, theta) * nu, axis=-1)
     h12 = np.sum(surface.phi_ttheta(t, theta) * nu, axis=-1)
     return (h11 + 1j * h12) / lam2
@@ -292,23 +320,20 @@ def conformal_field_space(surface: ParametricSurface) -> ConformalFieldSpace:
     dim_C).  The kernel of the 1 x m constraint row (every candidate when
     the row's norm is at most 1e-8) spans the normal components for which
     build_conformal_variation is solvable.
-    Gram matrix and constraint row each come from one quadrature of the
-    sampled candidate table, since both are (bi)linear in the candidates.
+    Gram matrix and constraint row each come from one ``grid_moments``
+    quadrature of the sampled candidate table, since both are (bi)linear in
+    the candidates.  ``candidates`` reads ``_candidates``, which builds the
+    table once per grid.
     """
     if surface.n != 3:
         raise ValueError("conformal field candidates implemented for n = 3")
 
     def candidates(t, theta):
-        nu = surface.unit_normal(t, theta)
-        x_nu = np.sum(surface.phi(t, theta) * nu, axis=-1, keepdims=True)
-        return np.concatenate([nu, x_nu], axis=-1)
+        return _candidates(surface, t, theta)
 
     labels = ["nu1", "nu2", "nu3", "x.nu"]
-    _, wt, _, wth = surface.nodes()
     table = surface.sample(candidates)
-    weights = wt[:, None] * wth  # dt dtheta quadrature weights on the grid
-    area_weights = surface.quotient_factor * weights * surface.conformal_factor_sq()
-    gram = np.einsum("ij,ija,ijb->ab", area_weights, table, table, optimize=True)
+    gram = surface.grid_moments(surface.conformal_factor_sq(), table, table)
     norms = np.sqrt(np.maximum(np.diag(gram), 0.0))
     live = norms > 1e-12
     scale = np.divide(1.0, norms, out=np.zeros_like(norms), where=live)
@@ -318,7 +343,7 @@ def conformal_field_space(surface: ParametricSurface) -> ConformalFieldSpace:
 
     # Re k = psi h11 / |phi_t|^2 is linear in psi: one integral gives the row
     re_k = surface.sample(lambda t, theta: _shape_weight(surface, t, theta).real)
-    constraint = scale * np.einsum("ij,ija->a", weights * re_k, table, optimize=True)
+    constraint = scale * surface.grid_moments(re_k, table)
     row_norm = np.linalg.norm(constraint)
     if row_norm <= 1e-8:
         kernel = np.eye(len(labels))
@@ -358,23 +383,27 @@ def build_conformal_variation(surface: ParametricSurface, psi) -> ConformalVaria
     sol = solve_dbar(problem)
 
     def Y_fn(t, theta):
+        # psi nu first: on a new grid its candidate table pushes out the one
+        # used least recently before the evaluation below allocates its own
+        nu = _candidates(surface, t, theta)[..., :3]
+        normal = np.asarray(psi(t, theta))[..., None] * nu
         f = sol.evaluate(t, theta)
-        pt, pth = surface.phi_t(t, theta), surface.phi_theta(t, theta)
-        out = f.real[..., None] * pt + f.imag[..., None] * pth
-        nu = surface._normal_from_tangents(pt, pth)
-        return out + np.asarray(psi(t, theta))[..., None] * nu
+        out = f.real[..., None] * surface.phi_t(t, theta)
+        out = out + f.imag[..., None] * surface.phi_theta(t, theta)
+        return out + normal
 
+    # sampled as Y, the field the caller holds, so energy_form_Q reuses the tables
     Y = VariationField(Y_fn, kind="general")
 
     # conformality certificate on the surface tensor grid
-    Yt, Yth = surface.grid_derivatives(surface.sample(Y_fn))
+    Yt, Yth = surface.grid_derivatives(surface.sample(Y))
     pt, pth = surface.first_derivatives()
     lam2 = surface.conformal_factor_sq()
     diag = np.abs(np.sum(Yt * pt, axis=-1) - np.sum(Yth * pth, axis=-1)) / lam2
     off = np.abs(np.sum(Yt * pth, axis=-1) + np.sum(Yth * pt, axis=-1)) / lam2
 
     x = surface.sample_boundary(surface.phi)
-    tangency = float(np.max(np.abs(np.sum(x * surface.sample_boundary(Y_fn), axis=-1))))
+    tangency = float(np.max(np.abs(np.sum(x * surface.sample_boundary(Y), axis=-1))))
 
     return ConformalVariation(
         Y=Y, psi=psi, solution=sol,
@@ -396,7 +425,7 @@ def verify_area_energy(surface: ParametricSurface, psi, Y) -> AreaEnergyReport:
     q = energy_form_Q(surface, Y, Y)
 
     def W(t, theta):
-        return np.asarray(psi(t, theta))[..., None] * surface.unit_normal(t, theta)
+        return np.asarray(psi(t, theta))[..., None] * _candidates(surface, t, theta)[..., :3]
 
     s = index_form_S(surface, VariationField(W, kind="normal"))
     return AreaEnergyReport(q_value=q, s_value=s, residual=abs(q - s) / (1.0 + abs(s)))

@@ -31,11 +31,17 @@ boundary fields are one stacked (n_circles, ntheta) table from
 ``sample_boundary``.  Every integral goes through ``grid_integral`` (dt dtheta)
 or ``boundary_integral`` (ds, against a cached table of |phi_theta|), and
 every derivative of a sampled field through ``grid_derivatives``.
+
+Fields are pure functions of (t, theta): the same inputs give the same
+values.  So each is sampled once per grid.  ``sample`` and ``sample_boundary``
+keep one read-only table per field and grid, and drop it when the field is
+deleted.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,6 +60,13 @@ class NotNormal(ValueError):
 
 class BoundaryTangencyViolated(ValueError):
     pass
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A read-only view; the array itself stays as it was."""
+    view = a.view()
+    view.flags.writeable = False
+    return view
 
 
 @dataclass
@@ -79,6 +92,9 @@ class ParametricSurface:
     grid: tuple[int, int] = (64, 256)
     name: str = ""
     _cache: dict = field(default_factory=dict, repr=False)
+    # field -> {(where, grid): table}; weak keys, since fields close over the surface
+    _samples: weakref.WeakKeyDictionary = field(
+        default_factory=weakref.WeakKeyDictionary, repr=False)
 
     @property
     def t_min(self) -> float:
@@ -88,15 +104,22 @@ class ParametricSurface:
     def quotient_factor(self) -> float:
         return 0.5 if self.topology == "moebius" else 1.0
 
+    def _cached(self, name: str, make):
+        """make() once per grid."""
+        key = (name, self.grid)
+        if key not in self._cache:
+            self._cache[key] = make()
+        return self._cache[key]
+
     def nodes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
         """(t nodes, t weights, theta nodes, theta weight)."""
-        key = ("nodes", self.grid)
-        if key not in self._cache:
+        def make():
             nt, ntheta = self.grid
             t, wt = gauss_legendre(nt, self.t_min, self.T)
             th = 2.0 * math.pi * np.arange(ntheta) / ntheta
-            self._cache[key] = (t, wt, th, 2.0 * math.pi / ntheta)
-        return self._cache[key]
+            return t, wt, th, 2.0 * math.pi / ntheta
+
+        return self._cached("nodes", make)
 
     def mesh(self) -> tuple[np.ndarray, np.ndarray]:
         """Open grid: t nodes as (nt, 1) and theta nodes as (1, ntheta).
@@ -105,21 +128,37 @@ class ParametricSurface:
         t node and its theta factors once per theta node.  Fields are read
         through ``sample``, which restores the full grid shape.
         """
-        t, _, th, _ = self.nodes()
-        return t[:, None], th[None, :]
+        def make():
+            t, _, th, _ = self.nodes()
+            return _read_only(t[:, None]), _read_only(th[None, :])
+
+        return self._cached("mesh", make)
 
     def sample(self, fn) -> np.ndarray:
         """fn on the mesh, broadcast to the full (nt, ntheta, ...) shape.
 
         A field that ignores theta (or t) returns one row (or column) on the
         open grid; the broadcast keeps quadratures from losing that factor.
+        The table is read-only and kept while fn lives (see ``_table``).
         """
-        vals = np.asarray(fn(*self.mesh()))
-        return np.broadcast_to(vals, self.grid + vals.shape[2:])
+        def make():
+            vals = np.asarray(fn(*self.mesh()))
+            return np.broadcast_to(vals, self.grid + vals.shape[2:])
+
+        return self._table(fn, "mesh", make)
 
     def boundary_t(self) -> np.ndarray:
         """t of each boundary circle; its sign is the outward direction of d/dt."""
         return np.array([self.T] if self.topology == "disk" else [self.T, -self.T])
+
+    def boundary_mesh(self) -> tuple[np.ndarray, np.ndarray]:
+        """t and theta of every boundary point, each a full (n_circles, ntheta) array."""
+        def make():
+            _, _, th, _ = self.nodes()
+            t, th = np.broadcast_arrays(self.boundary_t()[:, None], th[None, :])
+            return _read_only(t), _read_only(th)
+
+        return self._cached("boundary", make)
 
     def sample_boundary(self, fn) -> np.ndarray:
         """fn on every boundary circle as one (n_circles, ntheta, ...) table.
@@ -127,35 +166,57 @@ class ParametricSurface:
         The circles are few, so fn sees the full (n_circles, ntheta) arrays:
         every point is then computed exactly as on a single circle, also for
         closures whose reductions depend on how their inputs broadcast.
+        Memoized as ``sample`` is.
         """
-        _, _, th, _ = self.nodes()
-        return np.asarray(fn(*np.broadcast_arrays(self.boundary_t()[:, None], th[None, :])))
+        return self._table(
+            fn, "boundary", lambda: _read_only(np.asarray(fn(*self.boundary_mesh()))))
+
+    def _table(self, fn, where: str, make) -> np.ndarray:
+        """make() once per field, place and grid.
+
+        Fields are keyed weakly, so a table goes with its field and a field
+        that closes over the surface forms no cycle with it.  A callable that
+        takes no weak reference (a numpy ufunc) is sampled every time.
+        """
+        try:
+            tables = self._samples.setdefault(fn, {})
+        except TypeError:
+            return make()
+        key = (where, self.grid)
+        if key not in tables:
+            tables[key] = make()
+        return tables[key]
 
     def first_derivatives(self):
-        key = ("d1", self.grid)
-        if key not in self._cache:
-            self._cache[key] = (self.sample(self.phi_t), self.sample(self.phi_theta))
-        return self._cache[key]
+        return self.sample(self.phi_t), self.sample(self.phi_theta)
 
     def grid_derivatives(self, Fg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(d/dt, d/dtheta) of a field sampled on the full grid."""
-        key = ("Dt", self.grid)
-        if key not in self._cache:
-            self._cache[key] = diff_matrix(self.nodes()[0])
-        return np.einsum("ij,jkl->ikl", self._cache[key], Fg), fourier_diff(Fg, axis=1)
+        Dt = self._cached("Dt", lambda: diff_matrix(self.nodes()[0]))
+        return np.einsum("ij,jkl->ikl", Dt, Fg), fourier_diff(Fg, axis=1)
 
     def grid_integral(self, f: np.ndarray) -> float:
         """int f dt dtheta of an (nt, ntheta) table."""
         _, wt, _, wth = self.nodes()
         return self.quotient_factor * float(wt @ np.sum(f, axis=1)) * wth
 
+    def grid_moments(self, f: np.ndarray, *tables: np.ndarray) -> np.ndarray:
+        """int f * table_a [* table_b] dt dtheta of stacked (nt, ntheta, m) tables.
+
+        One table gives the m moments, two give the m x m matrix: the weights
+        of ``grid_integral`` contracted with a whole table at once.
+        """
+        _, wt, _, wth = self.nodes()
+        weights = self.quotient_factor * (wt[:, None] * wth) * f
+        spec = {1: "ij,ija->a", 2: "ij,ija,ijb->ab"}[len(tables)]
+        return np.einsum(spec, weights, *tables, optimize=True)
+
     def boundary_integral(self, f) -> float:
         """int f ds of an (n_circles, ntheta) table, ds = |phi_theta| dtheta."""
-        key = ("ds", self.grid)
-        if key not in self._cache:
-            self._cache[key] = np.linalg.norm(self.sample_boundary(self.phi_theta), axis=-1)
+        ds = self._cached(
+            "ds", lambda: np.linalg.norm(self.sample_boundary(self.phi_theta), axis=-1))
         _, _, _, wth = self.nodes()
-        per_circle = np.sum(f * self._cache[key], axis=1) * wth
+        per_circle = np.sum(f * ds, axis=1) * wth
         return self.quotient_factor * float(np.sum(per_circle))
 
     def conformal_factor_sq(self) -> np.ndarray:
@@ -178,11 +239,21 @@ class ParametricSurface:
         return self._normal_from_tangents(self.phi_t(t, theta), self.phi_theta(t, theta))
 
     def _normal_from_tangents(self, pt: np.ndarray, pth: np.ndarray) -> np.ndarray:
-        """unit_normal from phi_t and phi_theta already evaluated (n = 3 only)."""
+        """phi_t x phi_theta normalized (n = 3 only).
+
+        Written out, with the products and sums in the order of ``np.cross``
+        and ``np.linalg.norm``, so the values are bitwise theirs.
+        """
         if self.n != 3:
             raise ValueError("unit_normal needs ambient dimension 3")
-        nu = np.cross(pt, pth)
-        return nu / np.linalg.norm(nu, axis=-1, keepdims=True)
+        a0, a1, a2 = pt[..., 0], pt[..., 1], pt[..., 2]
+        b0, b1, b2 = pth[..., 0], pth[..., 1], pth[..., 2]
+        c = (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+        norm = np.sqrt(c[0] * c[0] + c[1] * c[1] + c[2] * c[2])
+        nu = np.empty(norm.shape + (3,))
+        for i in range(3):
+            np.divide(c[i], norm, out=nu[..., i])
+        return nu
 
     def normal_projector(self, t: np.ndarray, theta: np.ndarray) -> np.ndarray:
         """Pointwise projector onto the normal space, shape (..., n, n)."""
@@ -198,9 +269,12 @@ class ParametricSurface:
         )
 
 
-@dataclass
+@dataclass(eq=False)
 class VariationField:
-    """Ambient-valued variation field along a surface, given as a closure."""
+    """Ambient-valued variation field along a surface, given as a closure.
+
+    Compared by identity, so that sampling memoizes it as one field.
+    """
 
     field_fn: callable
     kind: str = "general"  # "normal" | "tangent_sphere" | "general"

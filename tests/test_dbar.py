@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from steklov_lab.dbar import (
     DbarProblem,
     DbarSolution,
     Unsolvable,
+    _candidates,
     _compat_rhs,
     _complement,
     build_conformal_variation,
@@ -418,3 +421,101 @@ def test_conditioning_is_the_n1_pair_formula():
         sol = solve_dbar(cylinder_problem(T, lambda t, th: t * np.exp(1j * th), nt=8, ntheta=4))
         q = math.exp(-2.0 * T)
         assert sol.conditioning == (1.0 + q) / (1.0 - q * q)
+
+
+# -- one evaluation per field and grid -------------------------------------------
+
+
+def test_candidate_memo_follows_its_inputs(catenoid_space):
+    cat, cfs = catenoid_space
+    t = np.linspace(-cat.T, cat.T, 9)[:, None]
+    th = np.linspace(0.0, 2 * math.pi, 16, endpoint=False)[None, :]
+    before = cfs.candidates(t, th)
+    assert cfs.candidates(t.copy(), th.copy()) is before
+    t *= 0.5  # changed in place: the memo must not answer from the old grid
+    after = cfs.candidates(t, th)
+    nu = cat.unit_normal(t, th)
+    fresh = np.concatenate([nu, np.sum(cat.phi(t, th) * nu, axis=-1, keepdims=True)], axis=-1)
+    assert np.array_equal(after, fresh)
+    assert not np.array_equal(after, before)
+
+
+def test_candidate_tables_of_the_two_grids_used_last_are_kept():
+    cat = critical_catenoid(grid=(16, 32))
+    built = []
+    original = type(cat).unit_normal
+    cat.unit_normal = lambda t, h: built.append(1) or original(cat, t, h)
+    a, h = np.linspace(-cat.T, cat.T, 5)[:, None], np.zeros((1, 3))
+    b, c = 0.5 * a, 0.25 * a
+    first = _candidates(cat, a, h)
+    assert not first.flags.writeable
+    assert _candidates(cat, a.copy(), h.copy()) is first  # equal content
+    _candidates(cat, b, h)
+    _candidates(cat, a, h)  # a hit makes a the grid used last
+    _candidates(cat, c, h)  # so c pushes out b, not a
+    assert _candidates(cat, a, h) is first
+    assert len(built) == 3
+    _candidates(cat, b, h)
+    assert len(built) == 4 and len(cat._cache["candidates"]) == 2
+
+
+def test_compat_rhs_forms_the_normal_once_per_grid_point(monkeypatch):
+    cat = critical_catenoid()
+    cfs = conformal_field_space(cat)
+    psi = cfs.kernel_psi(0)
+    t, _ = lobatto(128, -cat.T, cat.T)
+    th = 2.0 * math.pi * np.arange(128) / 128
+    tt, hh = t[:, None], th[None, :]
+    # the right-hand side as it was built before the normal was shared
+    pt, pth = cat.phi_t(tt, hh), cat.phi_theta(tt, hh)
+    nu = np.cross(pt, pth)
+    nu = nu / np.linalg.norm(nu, axis=-1, keepdims=True)
+    cand = np.concatenate([nu, np.sum(cat.phi(tt, hh) * nu, axis=-1, keepdims=True)], axis=-1)
+    weight = (np.sum(cat.phi_tt(tt, hh) * nu, axis=-1)
+              + 1j * np.sum(cat.phi_ttheta(tt, hh) * nu, axis=-1)) / np.sum(pt**2, axis=-1)
+    ref = np.empty((128, 128), dtype=complex)
+    ref[...] = (cand @ (cfs.scale * cfs.kernel[:, 0])) * weight
+
+    normals = []
+    original = type(cat)._normal_from_tangents
+    monkeypatch.setattr(type(cat), "_normal_from_tangents",
+                        lambda self, a, b: normals.append(a.shape) or original(self, a, b))
+    rhs = cylinder_problem(cat.T, _compat_rhs(cat, psi)).rhs
+    assert rhs.tobytes() == ref.tobytes()
+    assert normals == [(128, 128, 3)]
+
+
+def test_a_variation_request_evaluates_each_field_once_per_grid(monkeypatch):
+    cat = critical_catenoid()
+    normals, evaluations = [], []
+    original_normal = type(cat)._normal_from_tangents
+    original_evaluate = DbarSolution.evaluate
+    monkeypatch.setattr(type(cat), "_normal_from_tangents",
+                        lambda self, a, b: normals.append(a.shape) or original_normal(self, a, b))
+    monkeypatch.setattr(DbarSolution, "evaluate", lambda self, t, th: (
+        evaluations.append(1) or original_evaluate(self, t, th)))
+    cfs = conformal_field_space(cat)
+    psi = cfs.kernel_psi(1)
+    var = build_conformal_variation(cat, psi)
+    rep = verify_area_energy(cat, psi, var.Y)
+    assert rep.residual <= 1e-5
+    # once per grid: the mesh, the d-bar grid and the two boundary circles
+    assert sorted(normals) == [(2, 256, 3), (64, 256, 3), (128, 128, 3)]
+    assert len(evaluations) == 2  # Y on the mesh and on the boundary
+
+
+def test_a_variation_request_leaves_no_reference_cycle():
+    # the candidate tables and the sampled Y live on the surface, and Y, psi
+    # and the field space close over it: reference counting alone frees all
+    gc.disable()
+    try:
+        cat = critical_catenoid(grid=(32, 64))
+        cfs = conformal_field_space(cat)
+        psi = cfs.kernel_psi(0)
+        var = build_conformal_variation(cat, psi)
+        verify_area_energy(cat, psi, var.Y)
+        alive = weakref.ref(cat)
+        del cat, cfs, psi, var
+        assert alive() is None
+    finally:
+        gc.enable()

@@ -1,10 +1,12 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from steklov_lab.closedform import critical_parameter
-from steklov_lab.spectral1d import diff_matrix, fourier_diff
+from steklov_lab.spectral1d import diff_matrix, fourier_diff, lobatto
 from steklov_lab.surfaces import (
     BoundaryTangencyViolated,
     ParametricSurface,
@@ -425,3 +427,118 @@ def test_export_obj_vertices_in_ball(catenoid):
         if ln.startswith("v "):
             xyz = np.array([float(c) for c in ln.split()[1:]])
             assert np.linalg.norm(xyz) <= 1.0 + 1e-9
+
+
+# -- sampling memo ---------------------------------------------------------------
+
+
+def _counting(surface):
+    """A field that counts its evaluations, and the count."""
+    calls = []
+
+    def field(t, h):
+        calls.append(1)
+        return surface.phi_t(t, h) + surface.phi_theta(t, h)
+
+    return field, calls
+
+
+def test_a_field_is_sampled_once_per_grid():
+    surf = critical_catenoid(grid=(16, 32))
+    field, calls = _counting(surf)
+    first = surf.sample(field)
+    assert surf.sample(field) is first
+    bdy = surf.sample_boundary(field)
+    assert surf.sample_boundary(field) is bdy
+    assert len(calls) == 2  # once on the mesh, once on the boundary circles
+    # a VariationField is one field, however often it is handed in
+    V = VariationField(field)
+    surf.sample(V)
+    surf.sample(V)
+    assert len(calls) == 3
+
+
+def test_a_new_grid_samples_the_field_again():
+    surf = critical_catenoid(grid=(16, 32))
+    field, calls = _counting(surf)
+    coarse = surf.sample(field)
+    surf.grid = (32, 64)
+    fine = surf.sample(field)
+    assert len(calls) == 2
+    assert coarse.shape == (16, 32, 3) and fine.shape == (32, 64, 3)
+    surf.grid = (16, 32)
+    assert surf.sample(field) is coarse  # the first grid's table is still held
+    assert len(calls) == 2
+    assert np.array_equal(fine, critical_catenoid(grid=(32, 64)).sample(field))
+
+
+def test_memoized_tables_are_read_only(catenoid):
+    field, _ = _counting(catenoid)
+    tt, hh = catenoid.mesh()
+    tables = (catenoid.sample(field), catenoid.sample_boundary(field), tt, hh,
+              *catenoid.boundary_mesh())
+    for table in tables:
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[(0,) * table.ndim] = 1.0
+    # a field that hands out an array it holds keeps that array writeable
+    held = np.zeros((2, catenoid.grid[1], 3))
+    catenoid.sample_boundary(lambda t, h: held)
+    assert held.flags.writeable
+
+
+def test_a_table_goes_with_its_field():
+    surf = critical_catenoid(grid=(16, 32))
+    field, _ = _counting(surf)
+    table = weakref.ref(surf.sample(field))
+    assert table() is not None and len(surf._samples) == 1
+    del field
+    assert table() is None
+    assert len(surf._samples) == 0
+
+
+def test_callables_without_weak_references_are_sampled():
+    # numpy ufuncs take no weak reference; they are sampled, not memoized
+    surf = critical_catenoid(grid=(16, 32))
+    tt, hh = np.broadcast_arrays(*surf.mesh())
+    assert np.array_equal(surf.sample(np.add), tt + hh)
+    assert len(surf._samples) == 0
+
+
+def test_the_memo_forms_no_reference_cycle():
+    # fields close over their surface; the surface must still be freed by
+    # reference counting alone once the caller lets go of both
+    gc.disable()
+    try:
+        surf = critical_catenoid(grid=(16, 32))
+        W = normal_part(surf, np.array([0.0, 0.0, 1.0]))
+        index_form_S(surf, W)
+        field_norm_sq_integral(surf, W)
+        energy_form_Q(surf, VariationField(surf.phi_theta), VariationField(surf.phi_theta))
+        verify_minimal_free_boundary(surf)
+        alive = weakref.ref(surf)
+        del surf, W
+        assert alive() is None
+    finally:
+        gc.enable()
+
+
+def _normal_reference(pt, pth):
+    nu = np.cross(pt, pth)
+    return nu / np.linalg.norm(nu, axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("surface", [critical_catenoid, flat_disk])
+def test_written_out_normal_is_bitwise_np_cross(surface):
+    surf = surface()
+    dbar_t, _ = lobatto(128, surf.t_min, surf.T)
+    dbar_th = 2.0 * math.pi * np.arange(128) / 128
+    points = {
+        "mesh": surf.mesh(),
+        "boundary": surf.boundary_mesh(),
+        "d-bar grid": (dbar_t[:, None], dbar_th[None, :]),
+    }
+    for name, (t, h) in points.items():
+        pt, pth = surf.phi_t(t, h), surf.phi_theta(t, h)
+        got = surf._normal_from_tangents(pt, pth)
+        assert got.tobytes() == _normal_reference(pt, pth).tobytes(), name

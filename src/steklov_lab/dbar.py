@@ -4,13 +4,17 @@ Solves df/dz-bar = k on [-T, T] x S^1 with the boundary condition Re f = 0 on
 both ends, where z = t + i*theta and df/dz-bar = (f_t + i f_theta)/2.  After a
 Fourier transform in theta the modes decouple into first order ODEs
 f_n' - n f_n = 2 k_n, coupled in pairs (n, -n) only through the boundary
-condition.  Each mode takes one real global polynomial collocation solve on a
-Legendre-Gauss-Lobatto grid, its real and imaginary parts as two right-hand
-sides, with the particular solution anchored at the end from which the
-homogeneous solution exp(n t) decays; the 2x2 complex boundary systems of all
-pairs then give the homogeneous amplitudes at once.  The problem is solvable
-iff the double integral of Re k vanishes; the kernel is the pure imaginary
-constants, removed by a zero-mean gauge on Im f.
+condition.  The particular solution of mode n is a real global polynomial
+collocation solve on a Legendre-Gauss-Lobatto grid, anchored at the end from
+which the homogeneous solution exp(n t) decays: t = T for n > 0, t = -T for
+n <= 0.  The grid is symmetric, and the flip t -> -t maps the system of -n
+onto that of n, so one factorization per |n| serves both modes, with the real
+and imaginary parts of each as right-hand sides.  (On nodes symmetric only to
+DbarProblem's tolerance, the modes n <= 0 are thus solved on the mirror of
+the grid.)  The 2x2 complex boundary systems of all pairs then give the
+homogeneous amplitudes at once.  The problem is solvable iff the double
+integral of Re k vanishes; the kernel is the pure imaginary constants,
+removed by a zero-mean gauge on Im f.
 
 The second half of the module applies the solver: given a scalar field psi on
 an annulus-type free boundary minimal surface whose compatibility integral
@@ -30,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral1d import diff_matrix, fourier_diff, interp_matrix, lobatto
-from .surfaces import ParametricSurface, VariationField, energy_form_Q, index_form_S
+from .surfaces import ParametricSurface, VariationField, coord_dot, energy_form_Q, index_form_S
 
 SOLVABILITY_TOL = 1e-8
 
@@ -145,8 +149,9 @@ def dbar_residual(solution: DbarSolution, problem: DbarProblem) -> float:
 def solve_dbar(problem: DbarProblem) -> DbarSolution:
     """Solve the cylinder d-bar problem; see the module docstring.
 
-    One real collocation solve per mode, anchored at the decaying end, then
-    the boundary amplitudes of all pairs (n, -n) at once.  Raises Unsolvable
+    One real collocation factorization per |n|, shared by the modes n and -n
+    through the grid's flip, each anchored at its decaying end; then the
+    boundary amplitudes of all pairs (n, -n) at once.  Raises Unsolvable
     when |integral of Re k| exceeds SOLVABILITY_TOL times the L1 norm of k,
     and BoundarySystemSingular, before any solve, if a pair system is
     resonant (T near 0).
@@ -178,22 +183,25 @@ def solve_dbar(problem: DbarProblem) -> DbarSolution:
     if resonant.size:
         raise BoundarySystemSingular(f"mode pair n = {resonant[0]} is resonant")
 
-    # particular solutions; (Re, Im) of column j is g[:, j] and re_im[:, j]
-    D = diff_matrix(t)
-    eye = np.eye(nt)
-    freqs = np.fft.fftfreq(ntheta, d=1.0 / ntheta)
+    # particular solutions; (Re, Im) of column j is g[:, j] and re_im[:, j].
+    # The column of n > 0 is anchored at t = T: x[-1] = 0 and
+    # (D_r - n I) x[:-1] = g[:-1], with D_r = D[:-1, :-1].  The column of -n,
+    # n >= 0, is anchored at t = -T; the grid is symmetric, so J D J = -D for
+    # the flip J, and its system is the same one flipped:
+    # (D_r - n I) y = -J g[1:] and x[1:] = J y.  So one factorization per n
+    # serves both columns, with four right-hand sides.
+    D_r = diff_matrix(t)[:-1, :-1]
+    eye = np.eye(nt - 1)
     g = 2.0 * khat.view(float).reshape(nt, ntheta, 2)
     fhat = np.zeros_like(khat)
     re_im = fhat.view(float).reshape(nt, ntheta, 2)
-    for j, fn in enumerate(freqs):
-        if j == ntheta // 2:
-            continue  # Nyquist column: no conjugate partner on the grid, left 0
-        anchor = -1 if fn > 0 else 0
-        A = D - fn * eye
-        A[anchor] = eye[anchor]
-        b = g[:, j].copy()
-        b[anchor] = 0.0
-        re_im[:, j] = np.linalg.solve(A, b)
+    for m in range(ntheta // 2):  # the Nyquist column is left 0: no partner
+        minus = -g[:0:-1, -m]  # rows 1: of column -m, flipped
+        b = minus if m == 0 else np.concatenate([g[:-1, m], minus], axis=1)
+        x = np.linalg.solve(D_r - m * eye, b)
+        if m:
+            re_im[:-1, m] = x[:, :2]
+        re_im[:0:-1, -m] = x[:, -2:]
 
     # n = 0: Re f0(+-T) = 0 by a linear ramp carrying the (sub-tolerance)
     # compatibility defect, Im f0 gauged to zero mean
@@ -274,8 +282,8 @@ def _candidates(surface: ParametricSurface, t, theta) -> np.ndarray:
         if len(memo) >= 2:
             del memo[next(iter(memo))]  # the grid used least recently
         nu = surface.unit_normal(t, theta)
-        x_nu = np.sum(surface.phi(t, theta) * nu, axis=-1, keepdims=True)
-        table = np.concatenate([nu, x_nu], axis=-1)
+        x_nu = coord_dot(surface.phi(t, theta), nu)
+        table = np.concatenate([nu, x_nu[..., None]], axis=-1)
         table.flags.writeable = False
     memo[key] = table
     return table
@@ -287,9 +295,10 @@ def _shape_weight(surface: ParametricSurface, t, theta):
     nu is read from the candidate table, which psi has built on this grid.
     """
     nu = _candidates(surface, t, theta)[..., :3]
-    lam2 = np.sum(surface.phi_t(t, theta) ** 2, axis=-1)
-    h11 = np.sum(surface.phi_tt(t, theta) * nu, axis=-1)
-    h12 = np.sum(surface.phi_ttheta(t, theta) * nu, axis=-1)
+    pt = surface.phi_t(t, theta)
+    lam2 = coord_dot(pt, pt)
+    h11 = coord_dot(surface.phi_tt(t, theta), nu)
+    h12 = coord_dot(surface.phi_ttheta(t, theta), nu)
     return (h11 + 1j * h12) / lam2
 
 
@@ -399,11 +408,11 @@ def build_conformal_variation(surface: ParametricSurface, psi) -> ConformalVaria
     Yt, Yth = surface.grid_derivatives(surface.sample(Y))
     pt, pth = surface.first_derivatives()
     lam2 = surface.conformal_factor_sq()
-    diag = np.abs(np.sum(Yt * pt, axis=-1) - np.sum(Yth * pth, axis=-1)) / lam2
-    off = np.abs(np.sum(Yt * pth, axis=-1) + np.sum(Yth * pt, axis=-1)) / lam2
+    diag = np.abs(coord_dot(Yt, pt) - coord_dot(Yth, pth)) / lam2
+    off = np.abs(coord_dot(Yt, pth) + coord_dot(Yth, pt)) / lam2
 
     x = surface.sample_boundary(surface.phi)
-    tangency = float(np.max(np.abs(np.sum(x * surface.sample_boundary(Y), axis=-1))))
+    tangency = float(np.max(np.abs(coord_dot(x, surface.sample_boundary(Y)))))
 
     return ConformalVariation(
         Y=Y, psi=psi, solution=sol,

@@ -29,8 +29,9 @@ on the orientation double cover and halved.  Closures are evaluated on the
 open mesh (t column, theta row) and read through ``ParametricSurface.sample``;
 boundary fields are one stacked (n_circles, ntheta) table from
 ``sample_boundary``.  Every integral goes through ``grid_integral`` (dt dtheta)
-or ``boundary_integral`` (ds, against a cached table of |phi_theta|), and
-every derivative of a sampled field through ``grid_derivatives``.
+or ``boundary_integral`` (ds, against a cached table of |phi_theta|),
+every derivative of a sampled field through ``grid_derivatives``, and every
+dot product over the coordinate axis through ``coord_dot``.
 
 Fields are pure functions of (t, theta): the same inputs give the same
 values.  So each is sampled once per grid.  ``sample`` and ``sample_boundary``
@@ -60,6 +61,18 @@ class NotNormal(ValueError):
 
 class BoundaryTangencyViolated(ValueError):
     pass
+
+
+def coord_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a . b over the trailing coordinate axis: a[..., 0] * b[..., 0] + ...
+
+    Summed left to right, the order ``np.sum(a * b, axis=-1)`` uses on an axis
+    this short, so the values are bitwise its, without the (..., n) product.
+    """
+    out = a[..., 0] * b[..., 0]
+    for i in range(1, a.shape[-1]):
+        out += a[..., i] * b[..., i]
+    return out
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -221,7 +234,7 @@ class ParametricSurface:
 
     def conformal_factor_sq(self) -> np.ndarray:
         pt, _ = self.first_derivatives()
-        return np.sum(pt**2, axis=-1)
+        return coord_dot(pt, pt)
 
     def area(self) -> float:
         return self.grid_integral(self.conformal_factor_sq())
@@ -232,7 +245,7 @@ class ParametricSurface:
     def energy(self) -> float:
         """Dirichlet energy of the immersion; equals 2*area for conformal maps."""
         pt, pth = self.first_derivatives()
-        return self.grid_integral(np.sum(pt**2, axis=-1) + np.sum(pth**2, axis=-1))
+        return self.grid_integral(coord_dot(pt, pt) + coord_dot(pth, pth))
 
     def unit_normal(self, t: np.ndarray, theta: np.ndarray) -> np.ndarray:
         """Unit normal field (n = 3 only)."""
@@ -438,11 +451,11 @@ def verify_minimal_free_boundary(surface: ParametricSurface) -> dict:
     phh = surface.sample(surface.phi_thetatheta)
     vals = surface.sample(surface.phi)
 
-    lam2 = np.sum(pt**2, axis=-1)
+    lam2 = coord_dot(pt, pt)
     res = {
         "harmonic": float(np.max(np.linalg.norm(ptt + phh, axis=-1))),
-        "conformal_diag": float(np.max(np.abs(lam2 - np.sum(pth**2, axis=-1)))),
-        "conformal_offdiag": float(np.max(np.abs(np.sum(pt * pth, axis=-1)))),
+        "conformal_diag": float(np.max(np.abs(lam2 - coord_dot(pth, pth)))),
+        "conformal_offdiag": float(np.max(np.abs(coord_dot(pt, pth)))),
         "containment": float(max(np.max(np.linalg.norm(vals, axis=-1)) - 1.0, 0.0)),
     }
 
@@ -473,7 +486,7 @@ def area_integral(surface: ParametricSurface, scalar_grid: np.ndarray) -> float:
 def field_norm_sq_integral(surface: ParametricSurface, W) -> float:
     """int |W|^2 da over the surface."""
     Wg = surface.sample(W)
-    return area_integral(surface, np.sum(Wg**2, axis=-1))
+    return area_integral(surface, coord_dot(Wg, Wg))
 
 
 def index_form_S(surface: ParametricSurface, W) -> float:
@@ -485,7 +498,7 @@ def index_form_S(surface: ParametricSurface, W) -> float:
     its size, otherwise NotNormal is raised.
     """
     pt, pth = surface.first_derivatives()
-    lam2 = np.sum(pt**2, axis=-1)
+    lam2 = coord_dot(pt, pt)
     lam = np.sqrt(lam2)
     e1 = pt / lam[..., None]
     e2 = pth / np.linalg.norm(pth, axis=-1, keepdims=True)
@@ -494,7 +507,7 @@ def index_form_S(surface: ParametricSurface, W) -> float:
     scale = float(np.max(np.linalg.norm(Wg, axis=-1)))
     if scale > 0.0:
         tang = np.maximum(
-            np.abs(np.sum(Wg * e1, axis=-1)), np.abs(np.sum(Wg * e2, axis=-1))
+            np.abs(coord_dot(Wg, e1)), np.abs(coord_dot(Wg, e2))
         )
         if float(np.max(tang)) > NORMAL_TOL * scale:
             raise NotNormal(
@@ -506,21 +519,21 @@ def index_form_S(surface: ParametricSurface, W) -> float:
     grad_perp_sq = np.zeros_like(lam2)
     for dW in (Wt, Wth):
         d = dW / lam[..., None]
-        d = d - np.sum(d * e1, axis=-1, keepdims=True) * e1
-        d = d - np.sum(d * e2, axis=-1, keepdims=True) * e2
-        grad_perp_sq += np.sum(d**2, axis=-1)
+        d = d - coord_dot(d, e1)[..., None] * e1
+        d = d - coord_dot(d, e2)[..., None] * e2
+        grad_perp_sq += coord_dot(d, d)
 
     ptt = surface.sample(surface.phi_tt)
     ptth = surface.sample(surface.phi_ttheta)
     phh = surface.sample(surface.phi_thetatheta)
-    a11 = np.sum(ptt * Wg, axis=-1) / lam2
-    a12 = np.sum(ptth * Wg, axis=-1) / lam2
-    a22 = np.sum(phh * Wg, axis=-1) / lam2
+    a11 = coord_dot(ptt, Wg) / lam2
+    a12 = coord_dot(ptth, Wg) / lam2
+    a22 = coord_dot(phh, Wg) / lam2
     shape_sq = a11**2 + 2.0 * a12**2 + a22**2
 
     interior = surface.grid_integral((grad_perp_sq - shape_sq) * lam2)
     Wb = surface.sample_boundary(W)
-    return interior - surface.boundary_integral(np.sum(Wb**2, axis=-1))
+    return interior - surface.boundary_integral(coord_dot(Wb, Wb))
 
 
 def index_form_boundary(surface: ParametricSurface, v: np.ndarray) -> float:
@@ -568,7 +581,7 @@ def energy_form_Q(surface: ParametricSurface, V, W) -> float:
 
     def sampled(name, F):
         Fb = surface.sample_boundary(F)
-        worst = float(np.max(np.abs(np.sum(x * Fb, axis=-1))))
+        worst = float(np.max(np.abs(coord_dot(x, Fb))))
         scale = float(np.max(np.linalg.norm(Fb, axis=-1)))
         if scale > 0.0 and worst > TANGENCY_TOL * max(scale, 1.0):
             raise BoundaryTangencyViolated(
@@ -579,8 +592,8 @@ def energy_form_Q(surface: ParametricSurface, V, W) -> float:
     Vb, Vt, Vth = sampled("V", V)
     Wb, Wt, Wth = (Vb, Vt, Vth) if W is V else sampled("W", W)
     # <DV, DW> da is conformally invariant: (Vt.Wt + Vth.Wth) dt dtheta
-    interior = surface.grid_integral(np.sum(Vt * Wt, axis=-1) + np.sum(Vth * Wth, axis=-1))
-    return interior - surface.boundary_integral(np.sum(Vb * Wb, axis=-1))
+    interior = surface.grid_integral(coord_dot(Vt, Wt) + coord_dot(Vth, Wth))
+    return interior - surface.boundary_integral(coord_dot(Vb, Wb))
 
 
 def area_length_report(surface: ParametricSurface) -> FormReport:

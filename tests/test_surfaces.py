@@ -14,6 +14,7 @@ from steklov_lab.surfaces import (
     VariationField,
     area_length_report,
     catenoid_piece,
+    coord_dot,
     critical_catenoid,
     critical_moebius,
     energy_form_Q,
@@ -542,3 +543,22 @@ def test_written_out_normal_is_bitwise_np_cross(surface):
         pt, pth = surf.phi_t(t, h), surf.phi_theta(t, h)
         got = surf._normal_from_tangents(pt, pth)
         assert got.tobytes() == _normal_reference(pt, pth).tobytes(), name
+
+
+@pytest.mark.parametrize("surface", [critical_catenoid, critical_moebius])
+def test_coord_dot_is_bitwise_np_sum(surface):
+    # the catenoid lies in B^3 and the Moebius band in B^4: both coordinate
+    # lengths the program contracts over
+    surf = surface()
+    pt, pth = surf.first_derivatives()
+    rng = np.random.default_rng(surf.n)
+    wide = rng.normal(size=pt.shape) * 10.0 ** rng.integers(-12, 12, size=pt.shape)
+    column = rng.normal(size=(pt.shape[0], 1, surf.n))  # broadcast over theta
+    pairs = {
+        "tangents": (pt, pth), "square": (pt, pt), "wide": (wide, pth),
+        "broadcast column": (pt, column), "constant vector": (rng.normal(size=surf.n), wide),
+    }
+    for name, (a, b) in pairs.items():
+        got = coord_dot(a, b)
+        assert got.shape == np.broadcast_shapes(a.shape, b.shape)[:-1], name
+        assert got.tobytes() == np.sum(a * b, axis=-1).tobytes(), name

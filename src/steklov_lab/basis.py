@@ -12,12 +12,11 @@ mean vector come from the same trapezoid quadrature on every circle, which
 is spectrally accurate for these analytic integrands.  All k circles are
 evaluated in one call and cached as one (size, k, n_quad) trace table and
 one normal-derivative table, so each matrix is one product over the k * n_quad
-flattened boundary nodes.  For the band eigensolve ``whitened_traces``
-caches the Cholesky factor of the Dirichlet block and the traces whitened
-by it; it is the only LAPACK call here, and it imports ``scipy.linalg``
-itself, so the surface side never loads it.  Off the boundary, ``dz_at``
-differentiates given coefficient columns directly, one Horner sum per
-circle, so no (size, npts) table is built for interior points.
+flattened boundary nodes; ``boundary_matrices`` is the one mass assembly
+that every eigensolve in ``dtn`` starts from, and nothing here calls LAPACK.
+Off the boundary, ``dz_at`` differentiates given coefficient columns
+directly, one Horner sum per circle, so no (size, npts) table is built for
+interior points.
 """
 
 from __future__ import annotations
@@ -62,7 +61,6 @@ class HarmonicBasis:
         self.n_quad = _quad_size(M)
         self._boundary_tables: tuple[np.ndarray, np.ndarray] | None = None
         self._dirichlet: np.ndarray | None = None
-        self._whitened: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def size(self) -> int:
@@ -207,24 +205,6 @@ def dirichlet_matrix(basis: HarmonicBasis) -> np.ndarray:
     return basis._dirichlet
 
 
-def whitened_traces(basis: HarmonicBasis) -> tuple[np.ndarray, np.ndarray]:
-    """(R, G): A' = R^T R and G = R^-T P', cached per basis.
-
-    A' is the Dirichlet block without the constant element and P' the trace
-    table without it, flattened over the k * n_quad boundary nodes; so the
-    deflated mass block of any weight w is R^T ((G w) G^T - g g^T / L) R
-    with g = G w.  A Dirichlet block that is not positive definite raises
-    LinAlgError.
-    """
-    if basis._whitened is None:
-        import scipy.linalg as sla
-
-        R = sla.cholesky(dirichlet_matrix(basis)[1:, 1:])
-        P = basis.traces().reshape(basis.size, -1)[1:]
-        basis._whitened = (R, sla.solve_triangular(R, P, trans="T"))
-    return basis._whitened
-
-
 def boundary_matrices(
     basis: HarmonicBasis, samples: BoundaryMeasureSamples
 ) -> EigenSystemMatrices:
@@ -232,10 +212,13 @@ def boundary_matrices(
 
     ``samples`` must sit on the basis quadrature grid (``basis.n_quad``
     points per circle); ``domain.as_samples`` puts any weight there.  The
-    measure d(mu) = lambda ds is the table itself times 2 pi / n_quad.
+    measure d(mu) = lambda ds is the table itself times 2 pi / n_quad.  A
+    non-finite weight raises ValueError.
     """
     P = basis.traces().reshape(basis.size, -1)
     w = samples.values.reshape(-1) * (2.0 * math.pi / basis.n_quad)
+    if not np.all(np.isfinite(w)):
+        raise ValueError("boundary weight has non-finite values")
     B = (P * w) @ P.T
     B = 0.5 * (B + B.T)
     return EigenSystemMatrices(A=dirichlet_matrix(basis), B=B, m=P @ w)

@@ -5,22 +5,22 @@
 boundary mean: the weighted mean is subtracted from the mass block of the
 non-constant elements (which deflates the constant exactly), and the
 eigenvalues 1 / sigma of that block against their Dirichlet block are
-computed by one of two solves.
+computed by one solve, ``solve_eigensystem``.  Every request assembles the
+mass matrix once (``boundary_matrices``), factors the Dirichlet block
+(LAPACK ``potrf``) and reduces the deflated mass block with that factor to
+a standard symmetric problem (``sygst``).  Only the eigensolve of the
+reduced matrix depends on the request:
 
-* full (``n_eigs=None``, or ``n_eigs`` at least the basis size): the mass
-  matrix is assembled and ``solve_eigensystem`` makes one LAPACK ``sygvd``
-  call (Cholesky of the Dirichlet block, reduction, every eigenpair).
-* band (``1 < n_eigs < basis.size``, the ascent's request): the basis caches
-  the Cholesky factor R of the Dirichlet block and the traces whitened by
-  it, G = R^-T P'.  Each weight w then gives C = (G w) G^T - g g^T / L with
-  g = G w, whose top n_eigs - 1 eigenpairs come from a tridiagonal
-  reduction and MRRR on that index range (LAPACK ``sytrd``, ``stemr``,
-  ``ormqr``); only those columns are back-transformed.  Whitening costs a
-  second mass assembly, so it pays only on a basis that is solved many
-  times.
+* full (``n_eigs=None``, or ``n_eigs`` at least the basis size): every
+  eigenpair by divide and conquer (``syevd``), the steps ``sygvd`` takes.
+* band (``1 < n_eigs < basis.size``, the ascent's request): the top
+  n_eigs - 1 eigenpairs from a tridiagonal reduction and MRRR on that index
+  range (``sytrd``, ``stemr``, ``ormqr``).
 
-LAPACK loads on the first eigensolve: the solves import ``scipy.linalg``
-themselves, so a process that runs none (the closed forms, surfaces and
+The solved columns are then back-transformed by one triangular solve.
+
+LAPACK loads on the first eigensolve: the solve imports ``scipy.linalg``
+itself, so a process that runs none (the closed forms, surfaces and
 d-bar) never loads it, and it links to the OpenBLAS that ``_blas`` pinned.
 
 sigma_0 = 0 is returned with the constant eigenvector.  All returned
@@ -34,8 +34,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import HarmonicBasis, boundary_matrices, build_basis, whitened_traces
-from .domain import BoundaryMeasureSamples, CircleDomain, as_samples
+from .basis import HarmonicBasis, boundary_matrices, build_basis
+from .domain import CircleDomain, as_samples
 
 CLUSTER_TOL = 1e-6
 
@@ -115,13 +115,11 @@ def steklov_spectrum(
     elif basis.domain != domain:
         raise ValueError("basis was built on another domain")
     samples = as_samples(domain, density, basis.n_quad)
-    metadata = {"M": basis.M, "n_quad": basis.n_quad}
-    if n_eigs is None or not 1 < n_eigs < basis.size:
-        sys_ = boundary_matrices(basis, samples)
-        return solve_eigensystem(
-            sys_.A, sys_.B, sys_.m, n_eigs, cluster_tol=cluster_tol, metadata=metadata,
-        )
-    return _band_solve(basis, samples, n_eigs, cluster_tol, metadata)
+    sys_ = boundary_matrices(basis, samples)
+    return solve_eigensystem(
+        sys_.A, sys_.B, sys_.m, n_eigs, cluster_tol=cluster_tol,
+        metadata={"M": basis.M, "n_quad": basis.n_quad},
+    )
 
 
 def _check_n_eigs(n_eigs: int | None) -> None:
@@ -129,73 +127,15 @@ def _check_n_eigs(n_eigs: int | None) -> None:
         raise ValueError(f"n_eigs must be at least 1 (sigma_0 counts), got {n_eigs}")
 
 
-def _band_solve(
-    basis: HarmonicBasis,
-    samples: BoundaryMeasureSamples,
-    n_eigs: int,
-    cluster_tol: float,
-    metadata: dict,
-) -> SteklovSpectrum:
-    """The top n_eigs - 1 values of mu through the whitened traces.
-
-    With A' = R^T R and y = R x', the deflated problem becomes the standard
-    C y = mu y, C = (G w) G^T - g g^T / L, g = G w = R^-T m'.  Eigenvectors
-    y of unit length give B-orthonormal x' = R^-1 y / sqrt(mu), and the
-    constant row -(m' . x') / L is -(g . y) / (L sqrt(mu)).  Directions are
-    dropped against the largest mu as in ``solve_eigensystem``, so ``rank``
-    and ``dropped`` count the band only.  A non-finite weight raises
-    ValueError.
-    """
-    import scipy.linalg as sla
-
-    n = basis.size
-    w = samples.values.reshape(-1) * (2.0 * np.pi / basis.n_quad)
-    if not np.all(np.isfinite(w)):
-        raise ValueError("boundary weight has non-finite values")
-    L_total = float(np.sum(w))  # the constant element's trace is 1
-    if not L_total > 0.0:
-        raise MassMatrixDegenerate(f"weighted boundary length {L_total} is not positive")
-    R, G = whitened_traces(basis)
-    g = G @ w
-    C = (G * w) @ G.T - np.outer(g, g) / L_total
-    mu, Y = _top_eigenpairs(C, n_eigs - 1)
-    kept = _kept(mu, n)
-    mu, Y = mu[:kept], Y[:, :kept]
-    root = np.sqrt(mu)
-    X = sla.solve_triangular(R, Y, check_finite=False) / root
-    metadata.update({"dropped": n_eigs - 1 - kept, "rank": kept + 1, "solve": "band"})
-    return _spectrum(mu, X, -(g @ Y) / (L_total * root), L_total, cluster_tol, metadata)
-
-
-def _kept(mu: np.ndarray, n: int) -> int:
-    """Leading values of mu (descending) above (n - 1) eps mu_max; the rest carry no mass."""
-    return int(np.count_nonzero(mu > (n - 1) * np.finfo(float).eps * abs(mu[0])))
-
-
-def _spectrum(mu, X, row0, L_total, cluster_tol, metadata) -> SteklovSpectrum:
-    """sigma_0 = 0 with the constant, then sigma = 1 / mu with the columns (row0; X)."""
-    vals = np.concatenate(([0.0], 1.0 / mu))
-    vecs = np.zeros((X.shape[0] + 1, vals.size))
-    vecs[0, 0] = 1.0 / np.sqrt(L_total)
-    vecs[0, 1:] = row0
-    vecs[1:, 1:] = X
-    return SteklovSpectrum(
-        eigenvalues=vals,
-        eigenvectors=vecs,
-        clusters=_cluster(vals, cluster_tol),
-        boundary_length=L_total,
-        metadata=metadata,
-    )
-
-
 def _top_eigenpairs(C: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """The p largest eigenvalues of symmetric C, descending, with orthonormal vectors.
+    """The p largest eigenvalues of symmetric C, ascending, with orthonormal vectors.
 
-    Householder tridiagonalization (LAPACK sytrd, lower triangle), MRRR on
-    the tridiagonal for the index range only (stemr), and the reflectors
-    applied to those p vectors (ormqr).  syevr does not run MRRR on an index
-    subset but bisection and inverse iteration, which costs more at these
-    sizes; it stays as the fallback for a stemr that does not converge.
+    Only the lower triangle of C is read.  Householder tridiagonalization
+    (LAPACK sytrd), MRRR on the tridiagonal for the index range only
+    (stemr), and the reflectors applied to those p vectors (ormqr).  syevr
+    does not run MRRR on an index subset but bisection and inverse
+    iteration, which costs more at these sizes; it stays as the fallback for
+    a stemr that does not converge.
     """
     import scipy.linalg as sla
     from scipy.linalg import lapack
@@ -205,12 +145,11 @@ def _top_eigenpairs(C: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     # range 3 selects the 1-based indices n - p + 1 .. n of the ascending values
     m, mu, Y, info = lapack.dstemr(d, np.append(e, 0.0), 3, 0.0, 0.0, n - p + 1, n)
     if info or m != p:
-        mu, Y = sla.eigh(C, subset_by_index=[n - p, n - 1], driver="evr", check_finite=False)
-        return mu[::-1], Y[:, ::-1]
-    Y = Y[:, p - 1::-1]
+        return sla.eigh(C, subset_by_index=[n - p, n - 1], driver="evr", check_finite=False)
+    Y = Y[:, :p]
     # Q = H(1) ... H(n - 1) acts on rows 1.. as the Q of a QR factorization
     Y[1:] = lapack.dormqr("L", "N", T[1:, :-1], tau, Y[1:], 64 * p)[0]
-    return mu[p - 1::-1], Y
+    return mu[:p], Y
 
 
 def solve_eigensystem(
@@ -226,14 +165,20 @@ def solve_eigensystem(
 
     Because element 0 is the constant, A[0] = 0 and B[0] = m.  With L = m[0]
     and primes marking the non-constant block, the problem on {m . x = 0} is
-    A' x' = sigma (B' - m' m'^T / L) x'.  A' is positive definite, so it is
-    solved as (B' - m' m'^T / L) z = mu A' z with sigma = 1 / mu, and
-    x' = z / sqrt(mu) is B-orthonormal.  Directions with mu <= (n - 1) eps
-    mu_max carry no boundary mass and are dropped; a Dirichlet block that is
-    not positive definite raises LinAlgError, and a non-finite entry of A' or
-    B' or an ``n_eigs`` below 1 raises ValueError.
+    A' x' = sigma S x' with S = B' - m' m'^T / L.  A' is positive definite,
+    so it is solved as S z = mu A' z with sigma = 1 / mu: A' = R R^T
+    (LAPACK potrf), C = R^-1 S R^-T (sygst), then every eigenpair of C
+    (syevd) or, for ``1 < n_eigs < n``, the top n_eigs - 1 (see
+    ``_top_eigenpairs``), and x' = R^-T y / sqrt(mu) is B-orthonormal.  The
+    full request is the sequence ``sygvd`` runs, so it matches
+    ``scipy.linalg.eigh(S, A', driver="gvd")`` bitwise.  Directions with
+    mu <= (n - 1) eps mu_max carry no boundary mass and are dropped, so
+    ``dropped`` counts the values solved for and ``rank`` the kept ones
+    plus sigma_0; ``metadata["solve"]`` is ``"band"`` or ``"full"``.  A
+    Dirichlet block that is not positive definite raises LinAlgError, and a
+    non-finite entry of A' or B' or an ``n_eigs`` below 1 raises ValueError.
     """
-    import scipy.linalg as sla
+    from scipy.linalg import lapack
 
     _check_n_eigs(n_eigs)
 
@@ -243,18 +188,46 @@ def solve_eigensystem(
         raise MassMatrixDegenerate(f"weighted boundary length {L_total} is not positive")
 
     mp = m[1:]
+    Ap = A[1:, 1:]
     S = B[1:, 1:] - np.outer(mp, mp) / L_total
-    # LAPACK sygvd: Cholesky of A', reduction, divide and conquer; Z^T A' Z = I
-    mu, Z = sla.eigh(S, A[1:, 1:], driver="gvd")
-    mu, Z = mu[::-1], Z[:, ::-1]
-    kept = _kept(mu, n)
-
-    want = kept + 1 if n_eigs is None else min(n_eigs, kept + 1)
-    mu = mu[: want - 1]
-    X = Z[:, : want - 1] / np.sqrt(mu)
+    if not (np.all(np.isfinite(Ap)) and np.all(np.isfinite(S))):
+        raise ValueError("Dirichlet or mass block has non-finite entries")
+    R, info = lapack.dpotrf(Ap, lower=1)
+    if info:
+        raise np.linalg.LinAlgError("Dirichlet block is not positive definite")
+    C, _ = lapack.dsygst(S, R, itype=1, lower=1, overwrite_a=1)
+    band = n_eigs is not None and 1 < n_eigs < n
+    if band:
+        mu, Y = _top_eigenpairs(C, n_eigs - 1)
+    else:
+        mu, Y, info = lapack.dsyevd(C, lower=1, overwrite_a=1)
+        if info:
+            raise np.linalg.LinAlgError(f"syevd did not converge (info {info})")
+    # x' = R^-T y for every solved column, in the ascending order sygvd
+    # transforms them, so a full request is bitwise its result; R has a
+    # positive diagonal, so trtrs cannot fail
+    X, _ = lapack.dtrtrs(R, Y, lower=1, trans=1)
+    mu, X = mu[::-1], X[:, ::-1]
+    kept = int(np.count_nonzero(mu > (n - 1) * np.finfo(float).eps * abs(mu[0])))
+    want = kept if n_eigs is None else min(n_eigs - 1, kept)
+    mu = mu[:want]
+    X = X[:, :want] / np.sqrt(mu)
+    # sigma_0 = 0 with the constant, then sigma = 1 / mu with the columns
+    vals = np.concatenate(([0.0], 1.0 / mu))
+    vecs = np.zeros((n, vals.size))
+    vecs[0, 0] = 1.0 / np.sqrt(L_total)
+    vecs[0, 1:] = -(mp @ X) / L_total
+    vecs[1:, 1:] = X
     md = dict(metadata or {})
-    md.update({"dropped": n - 1 - kept, "rank": kept + 1, "solve": "full"})
-    return _spectrum(mu, X, -(mp @ X) / L_total, L_total, cluster_tol, md)
+    md.update({"dropped": Y.shape[1] - kept, "rank": kept + 1})
+    md["solve"] = "band" if band else "full"
+    return SteklovSpectrum(
+        eigenvalues=vals,
+        eigenvectors=vecs,
+        clusters=_cluster(vals, cluster_tol),
+        boundary_length=L_total,
+        metadata=md,
+    )
 
 
 def coarse_bound(gamma: int, k: int) -> float:

@@ -10,7 +10,6 @@ from steklov_lab.basis import (
     boundary_matrices,
     build_basis,
     dirichlet_matrix,
-    whitened_traces,
 )
 from steklov_lab.domain import (
     BoundaryDensity,
@@ -269,16 +268,6 @@ def test_traces_scale():
 def test_dirichlet_matrix_cached():
     b = build_basis(CircleDomain(), 4)
     assert dirichlet_matrix(b) is dirichlet_matrix(b)
-
-
-def test_whitened_traces_cached():
-    b = build_basis(CircleDomain((Hole(0.3 + 0.1j, 0.2),)), 8)
-    R, G = whitened_traces(b)
-    assert whitened_traces(b)[1] is G
-    A = dirichlet_matrix(b)[1:, 1:]
-    P = b.traces().reshape(b.size, -1)[1:]
-    assert np.max(np.abs(R.T @ R - A)) < 1e-12 * np.max(np.abs(A))
-    assert np.max(np.abs(R.T @ G - P)) < 1e-12
 
 
 def _center(dom, j):

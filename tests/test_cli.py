@@ -144,6 +144,18 @@ def test_quoted_sweep_hashes(workdir, monkeypatch):
             assert f"{h} {words}" in text.replace("`", ""), (name, n, h)
 
 
+def test_quoted_spectrum_value(workdir):
+    # README and the module docstring quote the sigma1_L this invocation
+    # writes under the default single BLAS thread
+    quoted = 6.498655486332764
+    argv = ["spectrum", "--holes", "0.3,0,0.2;-0.4,0.1,0.15", "--out", "two.json"]
+    assert cli.dispatch(argv) == 0
+    assert abs(read_json("two.json")["sigma1_L"] - quoted) <= 8 * np.spacing(quoted)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    for text in (readme, cli.__doc__):
+        assert f"{quoted!r} with one thread" in " ".join(text.split()).replace("`", "")
+
+
 # one invocation per command and output kind, with the manifest hash it logs
 # under one BLAS thread
 PINNED_HASHES = [

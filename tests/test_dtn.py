@@ -192,6 +192,11 @@ def test_matches_cholesky_reference_on_seeded_domains():
         ref_vals, ref_vecs, ref_dropped = _cholesky_reference(A, B, m)
         spec = solve_eigensystem(A, B, m)
         vals, V = spec.eigenvalues, spec.eigenvectors
+        # the full solve runs the steps of LAPACK sygvd, so it is bitwise eigh's
+        mu, Z = sla.eigh(B[1:, 1:] - np.outer(m[1:], m[1:]) / m[0], A[1:, 1:], driver="gvd")
+        mu, Z = mu[::-1][: vals.size - 1], Z[:, ::-1][:, : vals.size - 1]
+        assert np.array_equal(vals[1:], 1.0 / mu)
+        assert np.array_equal(V[1:, 1:], Z / np.sqrt(mu))
         assert spec.metadata["dropped"] == ref_dropped
         assert spec.metadata["rank"] == ref_vals.size == vals.size
         assert vals[0] == 0.0
@@ -260,12 +265,16 @@ def test_band_counts_dropped_columns_on_the_band():
     assert np.max(np.abs(band.eigenvalues[1:] / full.eigenvalues[1:10] - 1.0)) < 1e-10
 
 
-@pytest.mark.parametrize("bad", [np.inf, np.nan])
-def test_band_non_finite_weight_raises(bad):
+@pytest.mark.parametrize(
+    "bad, n_eigs",  # the band request, then the full one
+    [(np.inf, 9), (np.nan, 9), (np.inf, None), (np.nan, None)],
+    ids=["inf", "nan", "inf-full", "nan-full"],
+)
+def test_band_non_finite_weight_raises(bad, n_eigs):
     values = np.ones(256)
     values[7] = bad
     with pytest.raises(ValueError, match="non-finite"):
-        steklov_spectrum(DISK, BoundaryMeasureSamples((values,), (1.0,)), 12, n_eigs=5)
+        steklov_spectrum(DISK, BoundaryMeasureSamples((values,), (1.0,)), 12, n_eigs=n_eigs)
 
 
 def test_band_nonpositive_length_raises():

@@ -136,7 +136,7 @@ _TOLERANCES = ("cluster_tol", "solvability_tol")
 
 def _manifest(args) -> RunManifest:
     """The run's manifest: every parsed flag, tolerances under their own key."""
-    flags = {k: v for k, v in vars(args).items() if k != "func"}
+    flags = {k: v for k, v in vars(args).items() if k not in ("func", "needs_T")}
     command = " ".join(flags.pop(k) for k in _ROUTING if k in flags)
     tolerances = {k: flags.pop(k) for k in _TOLERANCES if k in flags}
     return RunManifest(command, flags, tolerances=tolerances)
@@ -184,13 +184,14 @@ def _parse_holes(spec: str) -> CircleDomain:
 # -- flag types: argparse turns their errors into exit code 64 -----------------
 
 
-def _int_at_least(low: int):
-    def parse(text: str) -> int:
-        if int(text) < low:
+def _at_least(low, kind=int):
+    def parse(text: str):
+        value = kind(text)
+        if not value >= low:  # nan too
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
-        return int(text)
+        return value
 
-    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    parse.__name__ = kind.__name__  # argparse names the type in "invalid int value"
     return parse
 
 
@@ -201,6 +202,14 @@ def _power_of_two(text: str) -> int:
 
 
 _power_of_two.__name__ = "int"
+
+
+class _NeedsT(argparse.Action):
+    """Stores the value and lists the flag in ``args.needs_T``, which the manifest omits."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.needs_T += (option_string,)
 
 
 def _int_list(text: str) -> list[int]:
@@ -243,8 +252,8 @@ def _cmd_spectrum(args):
 
 
 def _cmd_closedform(args):
-    if args.fT is not None and args.T is None:
-        raise BadFlag("--fT needs --T")
+    if args.needs_T and args.T is None:
+        raise BadFlag(f"{args.needs_T[0]} needs --T")
     payload = {
         "topology": args.topology,
         "critical_T": critical_parameter(args.topology),
@@ -368,24 +377,24 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("spectrum", help="Steklov spectrum of a circle domain")
     _domain_flags(sp)
     sp.add_argument("--modes", type=int, default=16)
-    sp.add_argument("--eigs", type=_int_at_least(1), default=8)
-    sp.add_argument("--cluster-tol", type=float, default=CLUSTER_TOL)
+    sp.add_argument("--eigs", type=_at_least(1), default=8)
+    sp.add_argument("--cluster-tol", type=_at_least(0.0, float), default=CLUSTER_TOL)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=_cmd_spectrum)
 
     cf = sub.add_parser("closedform", help="rotationally symmetric closed forms")
     cf.add_argument("--topology", choices=("annulus", "moebius"), default="annulus")
     cf.add_argument("--T", type=float)
-    cf.add_argument("--fT", type=float)
-    cf.add_argument("--n-max", type=int, default=8)
+    cf.add_argument("--fT", type=float, action=_NeedsT)
+    cf.add_argument("--n-max", type=int, default=8, action=_NeedsT)
     cf.add_argument("--out", required=True)
-    cf.set_defaults(func=_cmd_closedform)
+    cf.set_defaults(func=_cmd_closedform, needs_T=())
 
     mx = sub.add_parser("maximize", help="ascend the weighted first eigenvalue")
     _domain_flags(mx)
     mx.add_argument("--modes", type=int, default=16)
-    mx.add_argument("--iters", type=int, default=40)
-    mx.add_argument("--budget", type=_int_at_least(1), default=10**6)
+    mx.add_argument("--iters", type=_at_least(0), default=40)
+    mx.add_argument("--budget", type=_at_least(1), default=10**6)
     mx.add_argument("--certificate", action="store_true")
     mx.add_argument("--out", required=True)
     mx.set_defaults(func=_cmd_maximize, cluster_tol=CLUSTER_TOL)
@@ -394,7 +403,7 @@ def build_parser() -> _Parser:
     sw.add_argument("--k", type=_int_list, required=True,
                     help="comma-separated circle counts")
     sw.add_argument("--symmetry", choices=("cyclic", "none"), default="cyclic")
-    sw.add_argument("--budget", type=_int_at_least(1), default=6000)
+    sw.add_argument("--budget", type=_at_least(1), default=6000)
     sw.add_argument("--out", required=True)
     sw.set_defaults(func=_cmd_sweep, cluster_tol=CLUSTER_TOL)
 
@@ -419,8 +428,8 @@ def build_parser() -> _Parser:
 
     eo = sub.add_parser("export-obj", help="write a surface mesh")
     eo.add_argument("--which", choices=tuple(SURFACES), required=True)
-    eo.add_argument("--nt", type=_int_at_least(2), default=48)
-    eo.add_argument("--ntheta", type=_int_at_least(3), default=96)
+    eo.add_argument("--nt", type=_at_least(2), default=48)
+    eo.add_argument("--ntheta", type=_at_least(3), default=96)
     eo.add_argument("--out", required=True)
     eo.set_defaults(func=_cmd_export_obj)
 

@@ -61,7 +61,7 @@ class DbarProblem:
     t_weights: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.T <= 0.0:
+        if not self.T > 0.0:
             raise ValueError("half-length T must be positive")
         self.rhs = np.asarray(self.rhs, dtype=complex)
         nt, ntheta = self.rhs.shape
@@ -94,7 +94,10 @@ def cylinder_problem(T, rhs, nt=128, ntheta=128) -> DbarProblem:
 
     rhs sees the open grid (t a column, theta a row); the result is broadcast
     to (nt, ntheta), so a closure that ignores theta still fills the grid.
+    T must be positive; that is checked before rhs is called.
     """
+    if not T > 0.0:
+        raise ValueError("half-length T must be positive")
     t, w = lobatto(nt, -T, T)
     th = 2.0 * math.pi * np.arange(ntheta) / ntheta
     k = np.empty((nt, ntheta), dtype=complex)
@@ -109,8 +112,11 @@ class DbarSolution:
     ``modes[:, n]`` holds f_n(t) at the Lobatto nodes in numpy FFT frequency
     order.  ``evaluate`` interpolates to arbitrary broadcastable (t, theta):
     one barycentric row per distinct t, the phases exp(i n theta) on theta's
-    own shape, and one contraction over n.  On an open grid (t as a column,
-    theta as a row) neither factor is formed per point.
+    own shape, and one contraction over n.  The program evaluates it only on
+    open grids (t as a column, theta as a row), where neither factor is
+    formed per point.  The contraction sums over n in an order that depends
+    on how the inputs broadcast, so open and full inputs for the same points
+    can differ in the last bits.
     """
 
     T: float

@@ -25,11 +25,12 @@ without finite differencing.  The module provides
 
 Quadrature is Gauss-Legendre in t (spectrally accurate for these analytic
 integrands) and periodic trapezoid in theta; Moebius quantities are computed
-on the orientation double cover and halved.  Closures are evaluated on the
-open mesh (t column, theta row) and read through ``ParametricSurface.sample``;
-boundary fields are one stacked (n_circles, ntheta) table from
-``sample_boundary``.  Every integral goes through ``grid_integral`` (dt dtheta)
-or ``boundary_integral`` (ds, against a cached table of |phi_theta|),
+on the orientation double cover and halved.  Closures are evaluated only on
+open grids (t a column, theta a row): the mesh through
+``ParametricSurface.sample``, and the boundary circles (their t a column)
+through ``sample_boundary``, one stacked (n_circles, ntheta) table.  Both are
+one call into ``_table``.  Every integral goes through ``grid_integral``
+(dt dtheta) or ``boundary_integral`` (ds, against a cached table of |phi_theta|),
 every derivative of a sampled field through ``grid_derivatives``, and every
 dot product over the coordinate axis through ``coord_dot``.
 
@@ -135,62 +136,44 @@ class ParametricSurface:
         return self._cached("nodes", make)
 
     def mesh(self) -> tuple[np.ndarray, np.ndarray]:
-        """Open grid: t nodes as (nt, 1) and theta nodes as (1, ntheta).
-
-        Closures broadcast over it, so each evaluates its t factors once per
-        t node and its theta factors once per theta node.  Fields are read
-        through ``sample``, which restores the full grid shape.
-        """
-        def make():
-            t, _, th, _ = self.nodes()
-            return _read_only(t[:, None]), _read_only(th[None, :])
-
-        return self._cached("mesh", make)
+        """Open grid: t nodes as (nt, 1) and theta nodes as (1, ntheta)."""
+        return self._cached("mesh", lambda: self._open_grid(self.nodes()[0]))
 
     def sample(self, fn) -> np.ndarray:
-        """fn on the mesh, broadcast to the full (nt, ntheta, ...) shape.
-
-        A field that ignores theta (or t) returns one row (or column) on the
-        open grid; the broadcast keeps quadratures from losing that factor.
-        The table is read-only and kept while fn lives (see ``_table``).
-        """
-        def make():
-            vals = np.asarray(fn(*self.mesh()))
-            return np.broadcast_to(vals, self.grid + vals.shape[2:])
-
-        return self._table(fn, "mesh", make)
+        """fn on the mesh as one read-only (nt, ntheta, ...) table (see ``_table``)."""
+        return self._table(fn, "mesh", self.mesh())
 
     def boundary_t(self) -> np.ndarray:
         """t of each boundary circle; its sign is the outward direction of d/dt."""
         return np.array([self.T] if self.topology == "disk" else [self.T, -self.T])
 
     def boundary_mesh(self) -> tuple[np.ndarray, np.ndarray]:
-        """t and theta of every boundary point, each a full (n_circles, ntheta) array."""
-        def make():
-            _, _, th, _ = self.nodes()
-            t, th = np.broadcast_arrays(self.boundary_t()[:, None], th[None, :])
-            return _read_only(t), _read_only(th)
+        """Open grid of the boundary: circle t as (n_circles, 1), theta as (1, ntheta)."""
+        return self._cached("boundary", lambda: self._open_grid(self.boundary_t()))
 
-        return self._cached("boundary", make)
+    def _open_grid(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """t as a read-only column and the theta nodes as a read-only row."""
+        return _read_only(t[:, None]), _read_only(self.nodes()[2][None, :])
 
     def sample_boundary(self, fn) -> np.ndarray:
-        """fn on every boundary circle as one (n_circles, ntheta, ...) table.
+        """fn on every boundary circle as one (n_circles, ntheta, ...) table (see ``_table``)."""
+        return self._table(fn, "boundary", self.boundary_mesh())
 
-        The circles are few, so fn sees the full (n_circles, ntheta) arrays:
-        every point is then computed exactly as on a single circle, also for
-        closures whose reductions depend on how their inputs broadcast.
-        Memoized as ``sample`` is.
-        """
-        return self._table(
-            fn, "boundary", lambda: _read_only(np.asarray(fn(*self.boundary_mesh()))))
+    def _table(self, fn, where: str, grid) -> np.ndarray:
+        """fn on an open grid, broadcast to the full (len t, len theta, ...) shape.
 
-    def _table(self, fn, where: str, make) -> np.ndarray:
-        """make() once per field, place and grid.
-
+        fn takes its t factors once per t and its theta factors once per
+        theta, and a field that ignores theta (or t) still fills the grid.
+        The table is read-only and made once per field, place and grid.
         Fields are keyed weakly, so a table goes with its field and a field
         that closes over the surface forms no cycle with it.  A callable that
         takes no weak reference (a numpy ufunc) is sampled every time.
         """
+        def make():
+            t, theta = grid
+            vals = np.asarray(fn(t, theta))
+            return np.broadcast_to(vals, (t.size, theta.size) + vals.shape[2:])
+
         try:
             tables = self._samples.setdefault(fn, {})
         except TypeError:
@@ -267,19 +250,6 @@ class ParametricSurface:
         for i in range(3):
             np.divide(c[i], norm, out=nu[..., i])
         return nu
-
-    def normal_projector(self, t: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        """Pointwise projector onto the normal space, shape (..., n, n)."""
-        pt = self.phi_t(t, theta)
-        pth = self.phi_theta(t, theta)
-        e1 = pt / np.linalg.norm(pt, axis=-1, keepdims=True)
-        e2 = pth / np.linalg.norm(pth, axis=-1, keepdims=True)
-        eye = np.eye(self.n)
-        return (
-            eye
-            - e1[..., :, None] * e1[..., None, :]
-            - e2[..., :, None] * e2[..., None, :]
-        )
 
 
 @dataclass(eq=False)
@@ -547,22 +517,25 @@ def index_form_boundary(surface: ParametricSurface, v: np.ndarray) -> float:
 
 
 def normal_part(surface: ParametricSurface, ambient) -> VariationField:
-    """Variation field (ambient)^perp: pointwise normal projection.
+    """Variation field (ambient)^perp = a - (a.e1) e1 - (a.e2) e2, pointwise.
 
-    ``ambient`` is a constant vector or a closure (t, theta) -> (..., n).
+    e1 and e2 are the unit tangents phi_t/|phi_t| and phi_theta/|phi_theta|,
+    orthonormal on a conformal immersion.  ``ambient`` is a constant vector
+    or a closure (t, theta) -> (..., n).
     """
     if callable(ambient):
         amb = ambient
     else:
         vec = np.asarray(ambient, dtype=float)
-
-        def amb(t, theta):
-            shape = np.broadcast(np.asarray(t), np.asarray(theta)).shape
-            return np.broadcast_to(vec, shape + (surface.n,))
+        amb = lambda t, theta: vec  # broadcast by the projection below
 
     def closure(t, theta):
-        P = surface.normal_projector(t, theta)
-        return np.einsum("...ij,...j->...i", P, amb(t, theta))
+        a = amb(t, theta)
+        out = a
+        for tangent in (surface.phi_t(t, theta), surface.phi_theta(t, theta)):
+            e = tangent / np.sqrt(coord_dot(tangent, tangent))[..., None]
+            out = out - coord_dot(a, e)[..., None] * e
+        return out
 
     return VariationField(closure, kind="normal")
 

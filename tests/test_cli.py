@@ -2,6 +2,7 @@ import json
 import math
 import os
 import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -279,6 +280,14 @@ def test_bad_flags(workdir):
     assert cli.dispatch(["sweep", "--k", "2,0", "--out", "x.csv"]) == 64
     assert cli.dispatch(["sweep", "--k", "2", "--budget", "0", "--out", "x.csv"]) == 64
     assert cli.dispatch(["maximize", "--disk", "--budget", "0", "--out", "x.json"]) == 64
+    # a negative count would run as --iters 0
+    assert cli.dispatch(["maximize", "--disk", "--iters", "-3", "--out", "x.json"]) == 64
+    for tol in ("-1", "nan"):  # either would split the disk's double eigenvalues
+        assert cli.dispatch(["spectrum", "--disk", "--cluster-tol", tol,
+                             "--out", "x.json"]) == 64
+    # the truncation only applies to the spectrum that --T asks for
+    for n_max in ("3", "8"):
+        assert cli.dispatch(["closedform", "--n-max", n_max, "--out", "x.json"]) == 64
     for name in ("x.json", "x.obj", "x.csv"):
         assert not (workdir / name).exists()
     assert read_log(workdir) == []
@@ -301,6 +310,17 @@ def test_numerical_failure_exits_3(workdir, monkeypatch):
         rc = cli.dispatch(["spectrum", "--disk", "--out", "x.json"])
         assert rc == 3
         assert read_log(workdir) == []
+
+
+def test_nonpositive_dbar_T_exits_2_before_sampling(workdir):
+    # the demo's right-hand side divides by T: T = 0 must be refused before
+    # it is sampled, with no warning
+    for T in ("0", "-1"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.dispatch(["dbar", "demo", "--T", T, "--out", "d.json"]) == 2
+    assert not (workdir / "d.json").exists()
+    assert read_log(workdir) == []
 
 
 def test_resonant_dbar_demo_exits_3(workdir):

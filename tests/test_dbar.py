@@ -144,6 +144,9 @@ def test_fredholm_dichotomy_random():
 def test_problem_validation():
     with pytest.raises(ValueError):
         DbarProblem(T=-1.0, rhs=np.zeros((8, 8), dtype=complex))
+    for T in (0.0, -1.0, math.nan):  # refused before the right-hand side is sampled
+        with pytest.raises(ValueError, match="positive"):
+            cylinder_problem(T, lambda t, th: pytest.fail("sampled"), nt=8, ntheta=8)
     with pytest.raises(ValueError):
         DbarProblem(T=1.0, rhs=np.zeros((7, 8), dtype=complex))
     bad = np.zeros((8, 8), dtype=complex)
@@ -574,13 +577,23 @@ def test_compat_rhs_forms_the_normal_once_per_grid_point(monkeypatch):
 
 def test_a_variation_request_evaluates_each_field_once_per_grid(monkeypatch):
     cat = critical_catenoid()
-    normals, evaluations = [], []
+    normals, evaluations, inputs = [], [], set()
     original_normal = type(cat)._normal_from_tangents
     original_evaluate = DbarSolution.evaluate
     monkeypatch.setattr(type(cat), "_normal_from_tangents",
                         lambda self, a, b: normals.append(a.shape) or original_normal(self, a, b))
     monkeypatch.setattr(DbarSolution, "evaluate", lambda self, t, th: (
-        evaluations.append(1) or original_evaluate(self, t, th)))
+        evaluations.append((np.shape(t), np.shape(th))) or original_evaluate(self, t, th)))
+
+    # every field of the request reads the surface through these closures
+    def recording(fn):
+        def closure(t, theta):
+            inputs.add((np.shape(t), np.shape(theta)))
+            return fn(t, theta)
+        return closure
+
+    for name in ("phi", "phi_t", "phi_theta", "phi_tt", "phi_ttheta", "phi_thetatheta"):
+        setattr(cat, name, recording(getattr(cat, name)))
     cfs = conformal_field_space(cat)
     psi = cfs.kernel_psi(1)
     var = build_conformal_variation(cat, psi)
@@ -588,7 +601,11 @@ def test_a_variation_request_evaluates_each_field_once_per_grid(monkeypatch):
     assert rep.residual <= 1e-5
     # once per grid: the mesh, the d-bar grid and the two boundary circles
     assert sorted(normals) == [(2, 256, 3), (64, 256, 3), (128, 128, 3)]
-    assert len(evaluations) == 2  # Y on the mesh and on the boundary
+    # only open grids, t a column and theta a row: so no caller's input shape
+    # moves the last bits of the d-bar evaluation's sum over frequencies
+    mesh, boundary, dbar_grid = ((64, 1), (1, 256)), ((2, 1), (1, 256)), ((128, 1), (1, 128))
+    assert sorted(evaluations) == sorted([mesh, boundary])  # Y on the mesh and the boundary
+    assert inputs == {mesh, boundary, dbar_grid}
 
 
 def test_a_variation_request_leaves_no_reference_cycle():

@@ -10,8 +10,9 @@ The stiffness matrix is assembled as the boundary integral
 pairing exactly for harmonic functions (Green); the mass matrix and weighted
 mean vector come from the same trapezoid quadrature on every circle, which
 is spectrally accurate for these analytic integrands.  All k circles are
-evaluated in one call and cached as one (size, k, n_quad) trace table and
-one normal-derivative table, so each matrix is one product over the k * n_quad
+evaluated in one call and cached as one (size, k, n_quad) trace table; the
+normal derivatives from the same pass are used once, for the Dirichlet
+block, and dropped.  Each matrix is one product over the k * n_quad
 flattened boundary nodes; ``boundary_matrices`` is the one mass assembly
 that every eigensolve in ``dtn`` starts from, and nothing here calls LAPACK.
 Off the boundary, ``dz_at`` differentiates given coefficient columns
@@ -59,7 +60,7 @@ class HarmonicBasis:
         self.domain = domain
         self.M = M
         self.n_quad = _quad_size(M)
-        self._boundary_tables: tuple[np.ndarray, np.ndarray] | None = None
+        self._traces: np.ndarray | None = None
         self._dirichlet: np.ndarray | None = None
 
     @property
@@ -84,44 +85,49 @@ class HarmonicBasis:
             w = hole.radius / d
             yield d, w, -w * w / hole.radius
 
-    def _holomorphic_parts(self, z: np.ndarray):
-        """Value and d/dz data for all elements at points z.
+    def _holomorphic_parts(self, z: np.ndarray, eta: np.ndarray | None = None):
+        """Values of all elements at points z, shape (size, len(z)).
 
-        Returns (vals, dz) with shape (size, len(z)); vals real, dz complex
-        holding d(element)/dz (Wirtinger), so grad = 2*(Re dz, -Im dz).
-        Each circle is one cumulative power table: w = z on the outer circle
-        or w = r_j/(z - c_j) for hole j, F = w^m and dF/dz = m w^(m-1) dw/dz.
+        Given one direction eta per point, returns (vals, dn) with dn the real
+        derivatives 2 Re(dF/dz * eta) of each element F.  Each circle is one
+        cumulative power table: w = z on the outer circle or w = r_j/(z - c_j)
+        for hole j, F = w^m and dF/dz = m w^(m-1) dw/dz.
         """
         zf = np.asarray(z, dtype=complex).ravel()
         M = self.M
         vals = np.empty((self.size, zf.size))
-        dz = np.empty((self.size, zf.size), dtype=complex)
         vals[0] = 1.0
-        dz[0] = 0.0
+        if eta is not None:
+            eta = np.ravel(eta)
+            dn = np.zeros((self.size, zf.size))
         m = np.arange(1, M + 1)[:, None]
         i = 1
         for d, w, dw in self._circle_variables(zf):
             if d is not None:
                 vals[i] = np.log(np.abs(d))
-                dz[i] = 0.5 / d
+                if eta is not None:
+                    dn[i] = 2.0 * (0.5 / d * eta).real
                 i += 1
             pw = np.cumprod(np.broadcast_to(w, (M, zf.size)), axis=0)
             vals[i:i + 2 * M:2] = pw.real
             vals[i + 1:i + 2 * M:2] = pw.imag
-            # Re F rows take dF/2 = m w^(m-1) dw/2, Im F rows the rotated
-            # -i dF/2; both are formed in place to keep large grids lean
-            d_re, d_im = dz[i:i + 2 * M:2], dz[i + 1:i + 2 * M:2]
-            d_re[0] = 1.0
-            d_re[1:] = pw[:-1]
-            d_re *= 0.5 * m
-            d_re *= dw
-            np.multiply(d_re, -1j, out=d_im)
+            if eta is not None:
+                # Re F rows take dF/2 = m w^(m-1) dw/2, Im F rows -i dF/2; -i, then
+                # eta, then Re is the complex-table formula's order, pinned bitwise
+                g = np.empty_like(pw)
+                g[0] = 1.0
+                g[1:] = pw[:-1]
+                g *= 0.5 * m
+                g *= dw
+                dn[i + 1:i + 2 * M:2] = 2.0 * (g * -1j * eta).real
+                g *= eta
+                dn[i:i + 2 * M:2] = 2.0 * g.real
             i += 2 * M
-        return vals, dz
+        return vals if eta is None else (vals, dn)
 
     def values_at(self, z: np.ndarray) -> np.ndarray:
         """Element values at arbitrary points, shape (size, npts)."""
-        return self._holomorphic_parts(z)[0]
+        return self._holomorphic_parts(z)
 
     def dz_at(self, z: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Wirtinger d/dz of the functions whose coefficients are the columns of cols.
@@ -156,27 +162,23 @@ class HarmonicBasis:
 
     # -- cached boundary tables ------------------------------------------------
 
-    def _boundary(self) -> tuple[np.ndarray, np.ndarray]:
-        """(traces, normal derivatives) on all k circles, one call, evaluated once."""
-        if self._boundary_tables is None:
-            vals, dz = self._holomorphic_parts(self.circle_points())
-            shape = (self.size, self.domain.k, self.n_quad)
-            # outward domain normal: e^(i theta) on the unit circle, minus that on holes
-            sign = np.where(np.arange(self.domain.k) == 0, 1.0, -1.0)
-            dz = dz.reshape(shape)
-            # for u = Re F: du/d(eta) = Re(F' * eta); dz holds F'/2 (or the
-            # rotated variant for Im parts), and the same algebra applies
-            dz *= sign[:, None] * np.exp(1j * self.thetas())
-            self._boundary_tables = (vals.reshape(shape), 2.0 * dz.real)
-        return self._boundary_tables
-
     def traces(self) -> np.ndarray:
-        """Every element on every circle's quadrature nodes, (size, k, n_quad)."""
-        return self._boundary()[0]
+        """Every element on every circle's quadrature nodes, (size, k, n_quad).
 
-    def normal_derivatives(self) -> np.ndarray:
-        """d(element)/d(eta) on the same nodes, eta the outward domain normal."""
-        return self._boundary()[1]
+        The first call evaluates all k circles once; their normal derivatives,
+        weighted by arc length, go into the Dirichlet block and are dropped.
+        """
+        if self._traces is None:
+            k = self.domain.k
+            # outward domain normal: e^(i theta) on the unit circle, minus that on holes
+            sign = np.where(np.arange(k) == 0, 1.0, -1.0)
+            eta = sign[:, None] * np.exp(1j * self.thetas())
+            vals, dn = self._holomorphic_parts(self.circle_points(), eta)
+            dn *= np.repeat(self.domain.radii() * (2.0 * math.pi / self.n_quad), self.n_quad)
+            A = vals @ dn.T
+            self._dirichlet = 0.5 * (A + A.T)
+            self._traces = vals.reshape(self.size, k, self.n_quad)
+        return self._traces
 
 
 @dataclass(frozen=True)
@@ -194,14 +196,7 @@ def build_basis(domain: CircleDomain, M: int) -> HarmonicBasis:
 
 def dirichlet_matrix(basis: HarmonicBasis) -> np.ndarray:
     """Dirichlet energy Gram matrix via the boundary flux pairing, symmetrized."""
-    if basis._dirichlet is not None:
-        return basis._dirichlet
-    n = basis.size
-    ds = basis.domain.radii() * (2.0 * math.pi / basis.n_quad)  # arclength per node
-    P = basis.traces().reshape(n, -1)
-    D = (basis.normal_derivatives() * ds[:, None]).reshape(n, -1)
-    A = P @ D.T
-    basis._dirichlet = 0.5 * (A + A.T)
+    basis.traces()  # forms the block with the trace table
     return basis._dirichlet
 
 
@@ -213,12 +208,14 @@ def boundary_matrices(
     ``samples`` must sit on the basis quadrature grid (``basis.n_quad``
     points per circle); ``domain.as_samples`` puts any weight there.  The
     measure d(mu) = lambda ds is the table itself times 2 pi / n_quad.  A
-    non-finite weight raises ValueError.
+    non-finite or negative weight raises ValueError.
     """
     P = basis.traces().reshape(basis.size, -1)
     w = samples.values.reshape(-1) * (2.0 * math.pi / basis.n_quad)
     if not np.all(np.isfinite(w)):
         raise ValueError("boundary weight has non-finite values")
+    if np.any(w < 0.0):
+        raise ValueError("boundary weight has negative values")
     B = (P * w) @ P.T
     B = 0.5 * (B + B.T)
     return EigenSystemMatrices(A=dirichlet_matrix(basis), B=B, m=P @ w)

@@ -230,6 +230,8 @@ def _grid(text: str) -> tuple[int, int]:
         nt, ntheta = (int(s) for s in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"must be integer nt,ntheta, got {text!r}")
+    if min(nt, ntheta) < 1:
+        raise argparse.ArgumentTypeError(f"nt and ntheta must be at least 1, got {text!r}")
     return nt, ntheta
 
 

@@ -83,7 +83,7 @@ def validate(domain: CircleDomain) -> None:
     for h in domain.holes:
         if not (h.radius > 0.0):
             raise RadiusNonpositive(f"hole radius {h.radius} must be positive")
-        if abs(h.center) + h.radius > 1.0 - HOLE_MARGIN:
+        if not abs(h.center) + h.radius <= 1.0 - HOLE_MARGIN:  # nan too
             raise HoleOutsideDisk(
                 f"hole at {h.center} radius {h.radius} leaves the unit disk"
             )
@@ -91,7 +91,7 @@ def validate(domain: CircleDomain) -> None:
     for i in range(len(hs)):
         for j in range(i + 1, len(hs)):
             gap = abs(hs[i].center - hs[j].center) - hs[i].radius - hs[j].radius
-            if gap < HOLE_MARGIN:
+            if not gap >= HOLE_MARGIN:  # nan too
                 raise Overlap(f"holes {i} and {j} overlap (gap {gap:.2e})")
 
 

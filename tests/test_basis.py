@@ -210,11 +210,16 @@ def test_power_tables_match_per_element_loop(dom, M):
     r = (np.arange(24) + 0.5) / 24
     grid = np.ravel(r[:, None] * np.exp(2j * math.pi * np.arange(64) / 64)[None, :])
     points = [b.circle_points()[j] for j in range(dom.k)] + [grid[dom.contains(grid, 0.01)]]
+    rng = np.random.default_rng(5)
     for z in points:
-        vals, dz = b._holomorphic_parts(z)
+        eta = np.exp(2j * math.pi * rng.uniform(size=z.size))
+        vals, dn = b._holomorphic_parts(z, eta)
         rvals, rdz = _reference_parts(b, z)
+        assert b.values_at(z).tobytes() == vals.tobytes()
         assert np.all(np.abs(vals - rvals) <= 1e-13 * _row_scale(b, rvals))
-        assert np.all(np.abs(dz - rdz) <= 1e-13 * _row_scale(b, rdz))
+        # |d/d(eta)| <= 2 |d/dz|, so the d/dz row scale bounds it
+        rdn = 2.0 * (rdz * eta).real
+        assert np.all(np.abs(dn - rdn) <= 2e-13 * _row_scale(b, rdz))
 
 
 @pytest.mark.parametrize("dom", [CircleDomain(), THREE_HOLES], ids=["disk", "3holes"])
@@ -230,7 +235,7 @@ def test_dz_at_matches_contracted_table(dom):
             cols = rng.normal(size=(b.size, ncols))
             for z in points:
                 got = b.dz_at(z, cols)
-                ref = cols.T @ b._holomorphic_parts(z)[1]
+                ref = cols.T @ _reference_parts(b, z)[1]
                 assert got.shape == (ncols, z.size)
                 scale = np.max(np.abs(ref), axis=1, keepdims=True)
                 assert np.all(np.abs(got - ref) <= 1e-13 * scale)
@@ -243,16 +248,32 @@ def test_each_circle_evaluated_once(monkeypatch):
     calls = []
     parts = HarmonicBasis._holomorphic_parts
 
-    def counted(self, z):
+    def counted(self, z, eta=None):
         calls.append(z)
-        return parts(self, z)
+        return parts(self, z, eta)
 
     monkeypatch.setattr(HarmonicBasis, "_holomorphic_parts", counted)
     dom = CircleDomain((Hole(0.3 + 0.1j, 0.2), Hole(-0.4j, 0.15)))
-    b = build_basis(dom, 8)
-    dirichlet_matrix(b)
+    for first in (dirichlet_matrix, HarmonicBasis.traces,
+                  lambda b: boundary_matrices(b, _uniform(b))):
+        calls.clear()
+        b = build_basis(dom, 8)
+        first(b)
+        dirichlet_matrix(b)
+        boundary_matrices(b, _uniform(b))
+        b.traces()
+        assert len(calls) == 1
+        assert calls[0].shape == (dom.k, b.n_quad)
+
+
+def test_basis_keeps_only_the_trace_table_and_the_dirichlet_block():
+    b = build_basis(THREE_HOLES, 8)
     boundary_matrices(b, _uniform(b))
-    assert len(calls) == 1
+    arrays = {name for name, v in vars(b).items() if isinstance(v, np.ndarray)}
+    assert arrays == {"_traces", "_dirichlet"}
+    assert b._traces.shape == (b.size, b.domain.k, b.n_quad)
+    assert b._dirichlet.shape == (b.size, b.size)
+    assert not hasattr(b, "normal_derivatives")
 
 
 def test_traces_scale():
@@ -281,7 +302,7 @@ def _boundary_matrices_per_circle(b, samples):
     e = np.exp(1j * b.thetas())
     for j in range(b.domain.k):
         rho = b.domain.component_radius(j)
-        vals, dz = b._holomorphic_parts(_center(b.domain, j) + rho * e)
+        vals, dz = _reference_parts(b, _center(b.domain, j) + rho * e)
         dn = 2.0 * (dz * (e if j == 0 else -e)).real
         ds = rho * 2.0 * math.pi / b.n_quad
         A += ds * (vals @ dn.T)
@@ -306,3 +327,82 @@ def test_stacked_table_matches_per_circle_sums(dom, M):
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     for j in range(dom.k):
         assert b.traces()[:, j].tobytes() == b.values_at(b.circle_points()[j]).tobytes()
+
+
+def _random_domain(rng, k):
+    """k - 1 disjoint holes with clearance 0.04, by rejection."""
+    while True:
+        r = rng.uniform(0.05, 0.2, size=k - 1)
+        c = rng.uniform(0.0, 0.9 - r) * np.exp(2j * math.pi * rng.uniform(size=k - 1))
+        if all(abs(c[i] - c[j]) >= r[i] + r[j] + 0.04
+               for i in range(k - 1) for j in range(i + 1, k - 1)):
+            return CircleDomain(tuple(Hole(complex(ci), float(ri)) for ci, ri in zip(c, r)))
+
+
+def _complex_table_reference(b):
+    """Traces and Dirichlet block through a complex (size, k * n_quad) d/dz table.
+
+    The same cumulative power tables as the basis, a complex d/dz row for
+    every element, rotated by the outward normal and reduced to its real
+    part; the basis forms the real normal derivatives directly and must
+    match this bitwise.
+    """
+    zf = b.circle_points().ravel()
+    M, n = b.M, b.size
+    vals = np.empty((n, zf.size))
+    dz = np.empty((n, zf.size), dtype=complex)
+    vals[0] = 1.0
+    dz[0] = 0.0
+    m = np.arange(1, M + 1)[:, None]
+    i = 1
+    for d, w, dw in b._circle_variables(zf):
+        if d is not None:
+            vals[i] = np.log(np.abs(d))
+            dz[i] = 0.5 / d
+            i += 1
+        pw = np.cumprod(np.broadcast_to(w, (M, zf.size)), axis=0)
+        vals[i:i + 2 * M:2] = pw.real
+        vals[i + 1:i + 2 * M:2] = pw.imag
+        d_re, d_im = dz[i:i + 2 * M:2], dz[i + 1:i + 2 * M:2]
+        d_re[0] = 1.0
+        d_re[1:] = pw[:-1]
+        d_re *= 0.5 * m
+        d_re *= dw
+        np.multiply(d_re, -1j, out=d_im)
+        i += 2 * M
+    shape = (n, b.domain.k, b.n_quad)
+    sign = np.where(np.arange(b.domain.k) == 0, 1.0, -1.0)
+    dz = dz.reshape(shape)
+    dz *= sign[:, None] * np.exp(1j * b.thetas())
+    dn = 2.0 * dz.real
+    ds = b.domain.radii() * (2.0 * math.pi / b.n_quad)
+    A = vals @ (dn * ds[:, None]).reshape(n, -1).T
+    return vals.reshape(shape), 0.5 * (A + A.T)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_tables_bitwise_equal_to_complex_table_formula(seed):
+    rng = np.random.default_rng(seed)
+    for k in range(1, 6):
+        M = int(rng.choice([3, 8, 17, 32, 48, 64]))
+        b = build_basis(_random_domain(rng, k), M)
+        traces, A = _complex_table_reference(b)
+        assert np.array_equal(b.traces(), traces)
+        assert np.array_equal(dirichlet_matrix(b), A)
+
+
+@pytest.mark.parametrize("dom", [CircleDomain(), ANNULUS, THREE_HOLES], ids=["disk", "annulus", "3holes"])
+@pytest.mark.parametrize("M", [4, 24, 64])
+def test_dirichlet_block_matches_dz_at_on_the_circles(dom, M):
+    # an independent path: d/dz of every element by Horner's rule, turned
+    # into the outward normal derivative d/d(eta) = 2 Re(dz * eta)
+    b = build_basis(dom, M)
+    e = np.exp(1j * b.thetas())
+    A = np.zeros((b.size, b.size))
+    for j in range(dom.k):
+        eta = e if j == 0 else -e
+        dn = 2.0 * (b.dz_at(b.circle_points()[j], np.eye(b.size)) * eta).real
+        ds = dom.component_radius(j) * 2.0 * math.pi / b.n_quad
+        A += ds * (b.traces()[:, j] @ dn.T)
+    A = 0.5 * (A + A.T)
+    assert np.max(np.abs(dirichlet_matrix(b) - A)) <= 1e-14 * np.max(np.abs(A))

@@ -288,6 +288,10 @@ def test_bad_flags(workdir):
     # the truncation only applies to the spectrum that --T asks for
     for n_max in ("3", "8"):
         assert cli.dispatch(["closedform", "--n-max", n_max, "--out", "x.json"]) == 64
+    # an empty grid divides by zero (ntheta) or has no Gauss nodes (nt)
+    for grid in ("4,0", "0,4"):
+        assert cli.dispatch(["surface", "verify", "--which", "flat-disk",
+                             "--grid", grid, "--out", "x.json"]) == 64
     for name in ("x.json", "x.obj", "x.csv"):
         assert not (workdir / name).exists()
     assert read_log(workdir) == []
@@ -295,6 +299,17 @@ def test_bad_flags(workdir):
 
 def test_invalid_domain_exits_2(workdir):
     rc = cli.dispatch(["spectrum", "--holes", "0.9,0,0.3", "--out", "x.json"])
+    assert rc == 2
+    assert not (workdir / "x.json").exists()
+    assert read_log(workdir) == []
+
+
+@pytest.mark.parametrize("holes", ["nan,0,0.1", "0.3,nan,0.1"])
+def test_nan_hole_centre_exits_2(workdir, holes):
+    # refused by the domain check, before a basis divides by the nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.dispatch(["spectrum", "--holes", holes, "--out", "x.json"])
     assert rc == 2
     assert not (workdir / "x.json").exists()
     assert read_log(workdir) == []

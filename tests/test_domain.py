@@ -34,6 +34,12 @@ def test_hole_validation():
         CircleDomain((Hole(0.3, 0.2), Hole(0.45, 0.2)))
 
 
+@pytest.mark.parametrize("center", [complex(math.nan, 0.0), complex(0.3, math.nan)])
+def test_nan_hole_centre_is_refused(center):
+    with pytest.raises(HoleOutsideDisk):
+        CircleDomain((Hole(center, 0.1),))
+
+
 def test_margin_is_enforced():
     # a hole tangent to the unit circle misses the required clearance
     with pytest.raises(HoleOutsideDisk):

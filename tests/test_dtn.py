@@ -277,6 +277,25 @@ def test_band_non_finite_weight_raises(bad, n_eigs):
         steklov_spectrum(DISK, BoundaryMeasureSamples((values,), (1.0,)), 12, n_eigs=n_eigs)
 
 
+@pytest.mark.parametrize("n_eigs", [9, None], ids=["band", "full"])
+def test_negative_weight_raises(n_eigs):
+    # a signed table is not a measure, even when its total mass is positive
+    values = np.ones(256)
+    values[128:] = -0.5
+    with pytest.raises(ValueError, match="negative"):
+        steklov_spectrum(DISK, BoundaryMeasureSamples((values,), (1.0,)), 12, n_eigs=n_eigs)
+
+
+def test_zero_padded_table_with_a_dip_raises():
+    # zero padding a positive 8-point table to 256 points dips below zero
+    values = np.full(8, 1e-3)
+    values[0] = 1.0
+    padded = as_samples(DISK, BoundaryMeasureSamples((values,), (1.0,)), 256)
+    assert padded.values.min() < 0.0 < values.min()
+    with pytest.raises(ValueError, match="negative"):
+        steklov_spectrum(DISK, padded, 12)
+
+
 def test_band_nonpositive_length_raises():
     samples = BoundaryMeasureSamples((np.zeros(256),), (1.0,))
     with pytest.raises(MassMatrixDegenerate):

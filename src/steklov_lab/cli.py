@@ -80,6 +80,15 @@ class BadFlag(Exception):
     pass
 
 
+class Unresolved(Exception):
+    """A surface grid too coarse for the 2A = L identity of a shipped surface."""
+
+
+# every shipped surface is free boundary minimal, so 2A = L holds exactly and
+# |2A - L| above this fraction of L means the grid does not resolve it
+TWO_AREA_TOL = 1e-8
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse that reports flag problems through BadFlag instead of exiting."""
 
@@ -322,13 +331,17 @@ def _cmd_surface_verify(args):
     surf = surface_by_name(args.which, args.grid)
     residuals = verify_minimal_free_boundary(surf)
     report = area_length_report(surf)
+    gap = report.residuals["two_area_minus_length"]
+    if not gap <= TWO_AREA_TOL * report.boundary_length:
+        raise Unresolved(f"grid {args.grid[0]},{args.grid[1]} does not resolve {args.which}: "
+                         f"|2A - L| = {gap:.3g} for L = {report.boundary_length:.6g}")
     return "json", {
         "which": args.which,
         "residuals": residuals,
         "area": report.area,
         "boundary_length": report.boundary_length,
         "energy": report.energy,
-        "two_area_minus_length": report.residuals["two_area_minus_length"],
+        "two_area_minus_length": gap,
         "sigma1_L": report.boundary_length,
     }
 
@@ -465,6 +478,7 @@ def dispatch(argv) -> int:
         BoundarySystemSingular,
         np.linalg.LinAlgError,
         FloatingPointError,
+        Unresolved,
     ) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

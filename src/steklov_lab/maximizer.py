@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .basis import HarmonicBasis, build_basis
+from .basis import HarmonicBasis, build_basis, dirichlet_matrix
 from .domain import (
     HOLE_MARGIN,
     BoundaryDensity,
@@ -42,8 +42,14 @@ GRAD_TOL = 1e-9
 NEAR_WIDTH = 1e-2
 # ascent solves ask for a band of sigma_0 and the next BAND - 1 eigenvalues;
 # a band whose top value lies within 1.5 NEAR_WIDTH of sigma_1 may have cut
-# the near cluster, and the solve falls back to the full spectrum
+# the near cluster, and the solve falls back to the full spectrum.  The first
+# BAND eigenvector columns of the current state also span the Ritz screen of
+# its trial weights
 BAND = 9
+# a trial weight whose Ritz bound of sigma_1 * L lies below the current
+# value by more than this relative margin is rejected without a solve; the
+# bound has never been seen below the solved value by more than 4.1e-15
+SCREEN_MARGIN = 1e-10
 # configuration search: each probe is a short ascent at degree PROBE_M over
 # PROBE_SCHEDULE; the simplex stops after NM_ITERS steps or once its values
 # agree to NM_FTOL (relative) or its vertices to NM_XTOL
@@ -64,6 +70,8 @@ class EigensolveBudget:
     """Counter shared between nested searches; take() enforces the limit.
 
     fallbacks counts the band solves redone in full; a redo takes no unit.
+    screened counts the trials rejected by their Ritz bound; each takes one
+    unit in place of its solve.
     """
 
     def __init__(self, limit: int = 10**9):
@@ -72,6 +80,7 @@ class EigensolveBudget:
         self.limit = int(limit)
         self.used = 0
         self.fallbacks = 0
+        self.screened = 0
 
     def take(self) -> None:
         if self.used >= self.limit:
@@ -93,9 +102,12 @@ class AscentState:
     value) rows; within one smoothing level the values are nondecreasing
     because steps are only accepted on improvement.  phase_residuals records
     the boundary certificate residual at the end of each smoothing level.
-    fallbacks counts the solves whose band was redone in full.  A
-    configuration search returns its winning ascent with eigensolves,
-    fallbacks and budget_exhausted counted over the whole search.
+    fallbacks counts the solves whose band was redone in full.  eigensolves
+    counts budget units: every solved trial and every screened one, a trial
+    that its Ritz bound rejected without a solve; screened counts the
+    latter.  A configuration search returns its winning ascent with
+    eigensolves, fallbacks, screened and budget_exhausted counted over the
+    whole search.
     """
 
     domain: CircleDomain
@@ -107,6 +119,7 @@ class AscentState:
     budget_exhausted: bool = False
     eigensolves: int = 0
     fallbacks: int = 0
+    screened: int = 0
     phase_residuals: list = field(default_factory=list)
 
     @property
@@ -192,6 +205,34 @@ def _step_candidate(samples, direction, s, eps):
     return normalize(heat_smooth(cand, eps))
 
 
+def _ritz_screen(basis, spec):
+    """Ritz values times weighted length for trial weights, from spec's band.
+
+    V holds the first BAND eigenvector columns of spec, the constant among
+    them.  For a weight table the returned function gives the eigenvalues of
+    the pencil (V^T A V, V^T B(w) V), ascending and multiplied by the weight's
+    total mass, or None when V^T B(w) V is not positive definite.  Element 0
+    is 0 up to rounding (the constant), and element 1 bounds the weight's
+    sigma_1 * L from above by the Poincare separation.  V^T B(w) V is
+    (U w) U^T with the traces U = V^T P formed once here.
+    """
+    V = spec.eigenvectors[:, :BAND]
+    AV = V.T @ dirichlet_matrix(basis) @ V
+    U = V.T @ basis.traces().reshape(basis.size, -1)
+    scale = 2.0 * math.pi / basis.n_quad
+
+    def ritz_values(samples):
+        w = samples.values.reshape(-1) * scale
+        try:
+            R = np.linalg.cholesky((U * w) @ U.T)
+        except np.linalg.LinAlgError:
+            return None
+        Ri = np.linalg.inv(R)
+        return np.linalg.eigvalsh(Ri @ AV @ Ri.T) * np.sum(w)
+
+    return ritz_values
+
+
 def _near_cluster(spec: SteklovSpectrum, tol: float) -> np.ndarray:
     """Eigenvector columns within tol of sigma_1 (always including it)."""
     rest = spec.eigenvalues[1:]
@@ -259,7 +300,13 @@ def optimize_density(domain, init_density, eps_schedule=EPS_SCHEDULE,
     on relative gains below rel_tol, on max_iters, or when no candidate
     direction improves (stalled).  Each solve asks for the band of BAND
     eigenvalues and is redone on the full spectrum when the band may have
-    cut the near cluster.  The budget, when given, is shared with
+    cut the near cluster.  Before its solve a candidate is screened: on the
+    span of the current state's first BAND eigenvectors, the constant among
+    them, the second Ritz value of its pencil bounds its sigma_1 * L from
+    above, and a bound below value * (1 - SCREEN_MARGIN) rejects it without
+    a solve.  A screened candidate takes one budget unit and halves s as a
+    solved rejection does, so the search and every returned value are those
+    of the unscreened ascent.  The budget, when given, is shared with
     the caller and the best state so far is returned once it runs out; a
     level whose first solve does not fit leaves the previous level's state.
     """
@@ -271,7 +318,7 @@ def optimize_density(domain, init_density, eps_schedule=EPS_SCHEDULE,
     basis = build_basis(domain, M)
     if budget is None:
         budget = EigensolveBudget()
-    used0, fallbacks0 = budget.used, budget.fallbacks
+    used0, fallbacks0, screened0 = budget.used, budget.fallbacks, budget.screened
 
     def solve(d):
         budget.take()
@@ -305,15 +352,22 @@ def optimize_density(domain, init_density, eps_schedule=EPS_SCHEDULE,
                 if not dirs:
                     break
                 accepted = None
+                ritz = _ritz_screen(basis, spec)
+                floor = value * (1.0 - SCREEN_MARGIN)
                 for d in dirs:
                     s = s0
                     for _h in range(halvings):
                         cand = _step_candidate(dens, d, s, eps)
-                        cspec = solve(cand)
-                        cval = cspec.sigma1_L
-                        if cval > value:
-                            accepted = (cand, cspec, cval)
-                            break
+                        bound = ritz(cand)
+                        if bound is not None and bound[1] < floor:
+                            budget.take()
+                            budget.screened += 1
+                        else:
+                            cspec = solve(cand)
+                            cval = cspec.sigma1_L
+                            if cval > value:
+                                accepted = (cand, cspec, cval)
+                                break
                         s *= 0.5
                         if s < 1e-9:
                             break
@@ -348,6 +402,7 @@ def optimize_density(domain, init_density, eps_schedule=EPS_SCHEDULE,
         budget_exhausted=exhausted,
         eigensolves=budget.used - used0,
         fallbacks=budget.fallbacks - fallbacks0,
+        screened=budget.screened - screened0,
         phase_residuals=phase_residuals,
     )
 
@@ -482,8 +537,8 @@ def optimize_configuration(k: int, symmetry: str = "cyclic", budget: int = 6000)
     rotated onto the positive axis and every center and radius is free.
     Each probe runs a cheap weight ascent; the winner is polished by the
     default ascent of optimize_density.  The winning ascent is returned,
-    with eigensolves, fallbacks and budget_exhausted counted over the whole
-    search.
+    with eigensolves, fallbacks, screened and budget_exhausted counted over
+    the whole search.
     Its value is the Rayleigh-Ritz sigma_1 * L of the returned weight at the
     degree it was computed with (PROBE_M when the polish does not beat the
     best probe, else 16).  Ritz values bound the true eigenvalue from above,
@@ -536,7 +591,7 @@ def optimize_configuration(k: int, symmetry: str = "cyclic", budget: int = 6000)
         except BudgetExhausted:
             pass
     return replace(best, eigensolves=bud.used, fallbacks=bud.fallbacks,
-                   budget_exhausted=bud.exhausted)
+                   screened=bud.screened, budget_exhausted=bud.exhausted)
 
 
 def sweep_k(k_list, symmetry: str = "cyclic", budget: int = 6000) -> list:

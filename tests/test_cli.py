@@ -217,6 +217,23 @@ def test_surface_verify(workdir):
     assert abs(doc["two_area_minus_length"]) < 1e-10
 
 
+def test_unresolved_surface_grid_exits_3(workdir):
+    # one Gauss node in t gives the critical catenoid area 3.197 (5.237 on the
+    # default grid) with every pointwise residual at rounding; only 2A = L,
+    # exact on a free boundary minimal surface, shows that it is unresolved
+    for which, grid in (("critical-catenoid", "1,64"), ("critical-catenoid", "4,64"),
+                        ("critical-moebius", "4,64"), ("flat-disk", "8,64")):
+        rc = cli.dispatch(["surface", "verify", "--which", which, "--grid", grid,
+                           "--out", "sv.json"])
+        assert rc == 3, (which, grid)
+        assert not (workdir / "sv.json").exists()
+    assert read_log(workdir) == []
+    assert cli.dispatch(["surface", "verify", "--which", "critical-catenoid",
+                         "--grid", "8,64", "--out", "sv.json"]) == 0
+    doc = read_json("sv.json")
+    assert doc["two_area_minus_length"] < 1e-8 * doc["boundary_length"]
+
+
 def test_dbar_demo_solvable(workdir):
     rc = cli.dispatch(["dbar", "demo", "--nt", "32", "--ntheta", "16",
                        "--out", "db.json"])

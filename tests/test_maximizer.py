@@ -430,8 +430,8 @@ def test_budget_out_on_level_start_keeps_attained_state(limit):
 def test_cut_band_falls_back_to_the_full_solve(monkeypatch):
     # a band of sigma_0 and sigma_1 alone ends inside the near band (and on
     # the disk sigma_1 is double, so it cuts a cluster): every solve is
-    # redone in full, the redo takes no budget unit, and the ascent is the
-    # one the full path gives
+    # redone in full (a screened trial runs none), the redo takes no budget
+    # unit, and the ascent is the one the full path gives
     seed = BoundaryDensity(((0.0, 0.4, 0.0),))
     schedule = (1e-1, 1e-2)
     monkeypatch.setattr(maximizer, "BAND", 2)
@@ -440,7 +440,7 @@ def test_cut_band_falls_back_to_the_full_solve(monkeypatch):
     monkeypatch.setattr(maximizer, "steklov_spectrum",
                         lambda dom, d, M, n_eigs=None, **kw: steklov_spectrum(dom, d, M, **kw))
     full = optimize_density(DISK, seed, schedule, 6)
-    assert cut.fallbacks == cut.eigensolves > 0 and full.fallbacks == 0
+    assert cut.fallbacks == cut.eigensolves - cut.screened > 0 and full.fallbacks == 0
     assert cut.spectrum.metadata["solve"] == full.spectrum.metadata["solve"] == "full"
     assert cut.value == full.value and cut.trace == full.trace
     assert cut.eigensolves == full.eigensolves
@@ -463,6 +463,63 @@ def test_budget_take_raises_when_spent():
     with pytest.raises(BudgetExhausted):
         b.take()
     assert b.exhausted and b.used == 2
+
+
+# -- Ritz screen of trial weights ---------------------------------------------
+
+
+def _seeded_state(seed):
+    """A seeded cyclic layout (k = 1 .. 4) and log-density, solved as the ascent does."""
+    rng = np.random.default_rng(seed)
+    k = 1 + seed % 4
+    while True:
+        holes = maximizer._holes_for("cyclic", k, rng.uniform([0.3, 0.05], [0.7, 0.25]))
+        if maximizer._violation(holes) == 0.0:
+            break
+    dom = CircleDomain(tuple(Hole(c, r) for c, r in holes))
+    dens = BoundaryDensity(tuple(
+        (0.0,) + tuple(rng.normal(0.0, 0.3 / (1 + i // 2)) for i in range(6))
+        for _ in range(k)
+    ))
+    basis = build_basis(dom, 12)
+    samples = normalize(as_samples(dom, dens, basis.n_quad))
+    return basis, samples, steklov_spectrum(dom, samples, basis=basis, n_eigs=maximizer.BAND)
+
+
+def test_ritz_bound_lies_above_the_solved_value():
+    below = 0
+    for seed in range(12):
+        basis, samples, spec = _seeded_state(seed)
+        ritz = maximizer._ritz_screen(basis, spec)
+        rng = np.random.default_rng(100 + seed)
+        for d in _cluster_directions(basis, samples, spec):
+            for s in (1.0, 2.0 ** -3, 2.0 ** -8):
+                cand = maximizer._step_candidate(samples, d, s, rng.choice([1e-1, 1e-2, 1e-3]))
+                vals = ritz(cand)
+                solved = steklov_spectrum(basis.domain, cand, basis=basis,
+                                          n_eigs=maximizer.BAND).sigma1_L
+                assert vals.shape == (spec.eigenvalues.size,)
+                assert abs(vals[0]) <= 1e-12 * vals[1]  # the constant
+                assert vals[1] >= solved * (1.0 - 1e-13)
+                below += vals[1] < spec.sigma1_L
+    assert below > 0  # trials that the screen rejects are among them
+
+
+@pytest.mark.parametrize("dom, seed, schedule, iters, M", [
+    (DISK, BoundaryDensity(((0.0, 0.4, 0.0),)), maximizer.EPS_SCHEDULE, 40, 16),
+    (TRIPLE, BoundaryDensity(((0.0, 0.1, 0.0),) + ((0.2,),) * 3), (3e-2, 1e-3), 8, 12),
+], ids=["disk", "k3"])
+def test_screened_ascent_is_the_unscreened_one(monkeypatch, dom, seed, schedule, iters, M):
+    screened = optimize_density(dom, seed, schedule, iters, M=M)
+    monkeypatch.setattr(maximizer, "_ritz_screen", lambda basis, spec: lambda samples: None)
+    solved = optimize_density(dom, seed, schedule, iters, M=M)
+    assert 0 < screened.screened < screened.eigensolves and solved.screened == 0
+    assert screened.value == solved.value and screened.trace == solved.trace
+    assert screened.eigensolves == solved.eigensolves
+    assert np.array_equal(screened.density.values, solved.density.values)
+    assert np.array_equal(screened.spectrum.eigenvalues, solved.spectrum.eigenvalues)
+    assert np.array_equal(screened.spectrum.eigenvectors, solved.spectrum.eigenvectors)
+    assert screened.phase_residuals == solved.phase_residuals
 
 
 # -- schedules and input handling --------------------------------------------

@@ -33,6 +33,7 @@ import numpy as np
 
 from . import __version__
 from ._blas import blas_threads
+from .basis import MAX_DEGREE
 from .closedform import (
     annulus_spectrum,
     critical_parameter,
@@ -213,6 +214,15 @@ def _power_of_two(text: str) -> int:
 _power_of_two.__name__ = "int"
 
 
+def _degree(text: str) -> int:
+    if not 1 <= int(text) <= MAX_DEGREE:  # the degrees a basis is built for
+        raise argparse.ArgumentTypeError(f"must be a degree in [1, {MAX_DEGREE}], got {text}")
+    return int(text)
+
+
+_degree.__name__ = "int"
+
+
 class _NeedsT(argparse.Action):
     """Stores the value and lists the flag in ``args.needs_T``, which the manifest omits."""
 
@@ -391,7 +401,7 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("spectrum", help="Steklov spectrum of a circle domain")
     _domain_flags(sp)
-    sp.add_argument("--modes", type=int, default=16)
+    sp.add_argument("--modes", type=_degree, default=16)
     sp.add_argument("--eigs", type=_at_least(1), default=8)
     sp.add_argument("--cluster-tol", type=_at_least(0.0, float), default=CLUSTER_TOL)
     sp.add_argument("--out", required=True)
@@ -401,13 +411,13 @@ def build_parser() -> _Parser:
     cf.add_argument("--topology", choices=("annulus", "moebius"), default="annulus")
     cf.add_argument("--T", type=float)
     cf.add_argument("--fT", type=float, action=_NeedsT)
-    cf.add_argument("--n-max", type=int, default=8, action=_NeedsT)
+    cf.add_argument("--n-max", type=_at_least(1), default=8, action=_NeedsT)
     cf.add_argument("--out", required=True)
     cf.set_defaults(func=_cmd_closedform, needs_T=())
 
     mx = sub.add_parser("maximize", help="ascend the weighted first eigenvalue")
     _domain_flags(mx)
-    mx.add_argument("--modes", type=int, default=16)
+    mx.add_argument("--modes", type=_degree, default=16)
     mx.add_argument("--iters", type=_at_least(0), default=40)
     mx.add_argument("--budget", type=_at_least(1), default=10**6)
     mx.add_argument("--certificate", action="store_true")

@@ -61,8 +61,8 @@ class RotSymSurface:
     def __post_init__(self):
         if self.topology not in _TOPOLOGIES:
             raise ValueError(f"unknown topology {self.topology!r}")
-        if not (self.T > 0.0) or not (self.fT > 0.0):
-            raise ValueError("T and fT must be positive")
+        if not (0.0 < self.T < math.inf) or not (0.0 < self.fT < math.inf):
+            raise ValueError("T and fT must be finite and positive")
 
     @property
     def boundary_length(self) -> float:

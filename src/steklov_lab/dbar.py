@@ -61,8 +61,8 @@ class DbarProblem:
     t_weights: np.ndarray | None = None
 
     def __post_init__(self):
-        if not self.T > 0.0:
-            raise ValueError("half-length T must be positive")
+        if not 0.0 < self.T < math.inf:
+            raise ValueError("half-length T must be finite and positive")
         self.rhs = np.asarray(self.rhs, dtype=complex)
         nt, ntheta = self.rhs.shape
         if not (_is_pow2(nt) and _is_pow2(ntheta)):
@@ -94,10 +94,10 @@ def cylinder_problem(T, rhs, nt=128, ntheta=128) -> DbarProblem:
 
     rhs sees the open grid (t a column, theta a row); the result is broadcast
     to (nt, ntheta), so a closure that ignores theta still fills the grid.
-    T must be positive; that is checked before rhs is called.
+    T must be finite and positive; that is checked before rhs is called.
     """
-    if not T > 0.0:
-        raise ValueError("half-length T must be positive")
+    if not 0.0 < T < math.inf:
+        raise ValueError("half-length T must be finite and positive")
     t, w = lobatto(nt, -T, T)
     th = 2.0 * math.pi * np.arange(ntheta) / ntheta
     k = np.empty((nt, ntheta), dtype=complex)

@@ -6,18 +6,10 @@ boundary mean: the weighted mean is subtracted from the mass block of the
 non-constant elements (which deflates the constant exactly), and the
 eigenvalues 1 / sigma of that block against their Dirichlet block are
 computed by one solve, ``solve_eigensystem``.  Every request assembles the
-mass matrix once (``boundary_matrices``), factors the Dirichlet block
-(LAPACK ``potrf``) and reduces the deflated mass block with that factor to
-a standard symmetric problem (``sygst``).  Only the eigensolve of the
-reduced matrix depends on the request:
-
-* full (``n_eigs=None``, or ``n_eigs`` at least the basis size): every
-  eigenpair by divide and conquer (``syevd``), the steps ``sygvd`` takes.
-* band (``1 < n_eigs < basis.size``, the ascent's request): the top
-  n_eigs - 1 eigenpairs from a tridiagonal reduction and MRRR on that index
-  range (``sytrd``, ``stemr``, ``ormqr``).
-
-The solved columns are then back-transformed by one triangular solve.
+mass matrix once (``boundary_matrices``) and takes every eigenpair by one
+LAPACK ``sygvd`` call (``scipy.linalg.eigh`` with ``driver="gvd"``); a
+request for the first ``n_eigs`` values keeps the first columns of that
+solve.
 
 LAPACK loads on the first eigensolve: the solve imports ``scipy.linalg``
 itself, so a process that runs none (the closed forms, surfaces and
@@ -105,9 +97,9 @@ def steklov_spectrum(
     """First ``n_eigs`` weighted Steklov eigenvalues (sigma_0 = 0 included).
 
     ``density`` is a BoundaryDensity or BoundaryMeasureSamples; a given
-    ``basis`` must be built on ``domain``.  ``metadata["solve"]`` names the
-    solve that ran, ``"band"`` or ``"full"`` (see the module docstring).
-    ``n_eigs`` below 1 raises ValueError.
+    ``basis`` must be built on ``domain``.  Every request solves the whole
+    spectrum, and ``n_eigs`` keeps its first values; below 1 it raises
+    ValueError.
     """
     _check_n_eigs(n_eigs)
     if basis is None:
@@ -127,31 +119,6 @@ def _check_n_eigs(n_eigs: int | None) -> None:
         raise ValueError(f"n_eigs must be at least 1 (sigma_0 counts), got {n_eigs}")
 
 
-def _top_eigenpairs(C: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """The p largest eigenvalues of symmetric C, ascending, with orthonormal vectors.
-
-    Only the lower triangle of C is read.  Householder tridiagonalization
-    (LAPACK sytrd), MRRR on the tridiagonal for the index range only
-    (stemr), and the reflectors applied to those p vectors (ormqr).  syevr
-    does not run MRRR on an index subset but bisection and inverse
-    iteration, which costs more at these sizes; it stays as the fallback for
-    a stemr that does not converge.
-    """
-    import scipy.linalg as sla
-    from scipy.linalg import lapack
-
-    n = C.shape[0]
-    T, d, e, tau, _ = lapack.dsytrd(C, lower=1)
-    # range 3 selects the 1-based indices n - p + 1 .. n of the ascending values
-    m, mu, Y, info = lapack.dstemr(d, np.append(e, 0.0), 3, 0.0, 0.0, n - p + 1, n)
-    if info or m != p:
-        return sla.eigh(C, subset_by_index=[n - p, n - 1], driver="evr", check_finite=False)
-    Y = Y[:, :p]
-    # Q = H(1) ... H(n - 1) acts on rows 1.. as the Q of a QR factorization
-    Y[1:] = lapack.dormqr("L", "N", T[1:, :-1], tau, Y[1:], 64 * p)[0]
-    return mu[:p], Y
-
-
 def solve_eigensystem(
     A: np.ndarray,
     B: np.ndarray,
@@ -166,19 +133,17 @@ def solve_eigensystem(
     Because element 0 is the constant, A[0] = 0 and B[0] = m.  With L = m[0]
     and primes marking the non-constant block, the problem on {m . x = 0} is
     A' x' = sigma S x' with S = B' - m' m'^T / L.  A' is positive definite,
-    so it is solved as S z = mu A' z with sigma = 1 / mu: A' = R R^T
-    (LAPACK potrf), C = R^-1 S R^-T (sygst), then every eigenpair of C
-    (syevd) or, for ``1 < n_eigs < n``, the top n_eigs - 1 (see
-    ``_top_eigenpairs``), and x' = R^-T y / sqrt(mu) is B-orthonormal.  The
-    full request is the sequence ``sygvd`` runs, so it matches
-    ``scipy.linalg.eigh(S, A', driver="gvd")`` bitwise.  Directions with
-    mu <= (n - 1) eps mu_max carry no boundary mass and are dropped, so
-    ``dropped`` counts the values solved for and ``rank`` the kept ones
-    plus sigma_0; ``metadata["solve"]`` is ``"band"`` or ``"full"``.  A
-    Dirichlet block that is not positive definite raises LinAlgError, and a
-    non-finite entry of A' or B' or an ``n_eigs`` below 1 raises ValueError.
+    so it is solved as S z = mu A' z with sigma = 1 / mu by
+    ``scipy.linalg.eigh(S, A', driver="gvd")`` (LAPACK sygvd: potrf, sygst,
+    syevd and a triangular back-transform), and x' = z / sqrt(mu) is
+    B-orthonormal.  Directions with mu <= (n - 1) eps mu_max carry no
+    boundary mass and are dropped: ``dropped`` counts them and ``rank`` the
+    kept ones plus sigma_0, over the whole solve.  ``n_eigs`` keeps the
+    first n_eigs values and columns of that solve.  A Dirichlet block that
+    is not positive definite raises LinAlgError, and a non-finite entry of
+    A' or B' or an ``n_eigs`` below 1 raises ValueError.
     """
-    from scipy.linalg import lapack
+    import scipy.linalg as sla
 
     _check_n_eigs(n_eigs)
 
@@ -192,35 +157,26 @@ def solve_eigensystem(
     S = B[1:, 1:] - np.outer(mp, mp) / L_total
     if not (np.all(np.isfinite(Ap)) and np.all(np.isfinite(S))):
         raise ValueError("Dirichlet or mass block has non-finite entries")
-    R, info = lapack.dpotrf(Ap, lower=1)
-    if info:
-        raise np.linalg.LinAlgError("Dirichlet block is not positive definite")
-    C, _ = lapack.dsygst(S, R, itype=1, lower=1, overwrite_a=1)
-    band = n_eigs is not None and 1 < n_eigs < n
-    if band:
-        mu, Y = _top_eigenpairs(C, n_eigs - 1)
-    else:
-        mu, Y, info = lapack.dsyevd(C, lower=1, overwrite_a=1)
-        if info:
-            raise np.linalg.LinAlgError(f"syevd did not converge (info {info})")
-    # x' = R^-T y for every solved column, in the ascending order sygvd
-    # transforms them, so a full request is bitwise its result; R has a
-    # positive diagonal, so trtrs cannot fail
-    X, _ = lapack.dtrtrs(R, Y, lower=1, trans=1)
+    # Ap is a view of the basis's cached Dirichlet block: it must not be overwritten
+    try:
+        mu, X = sla.eigh(S, Ap, lower=True, driver="gvd", check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        if "positive definite" not in str(exc):
+            raise
+        raise np.linalg.LinAlgError("Dirichlet block is not positive definite") from None
     mu, X = mu[::-1], X[:, ::-1]
     kept = int(np.count_nonzero(mu > (n - 1) * np.finfo(float).eps * abs(mu[0])))
-    want = kept if n_eigs is None else min(n_eigs - 1, kept)
-    mu = mu[:want]
-    X = X[:, :want] / np.sqrt(mu)
+    mu = mu[:kept]
+    X = X[:, :kept] / np.sqrt(mu)
     # sigma_0 = 0 with the constant, then sigma = 1 / mu with the columns
     vals = np.concatenate(([0.0], 1.0 / mu))
     vecs = np.zeros((n, vals.size))
     vecs[0, 0] = 1.0 / np.sqrt(L_total)
     vecs[0, 1:] = -(mp @ X) / L_total
     vecs[1:, 1:] = X
+    vals, vecs = vals[:n_eigs], vecs[:, :n_eigs]
     md = dict(metadata or {})
-    md.update({"dropped": Y.shape[1] - kept, "rank": kept + 1})
-    md["solve"] = "band" if band else "full"
+    md.update({"dropped": n - 1 - kept, "rank": kept + 1})
     return SteklovSpectrum(
         eigenvalues=vals,
         eigenvectors=vecs,

@@ -40,11 +40,8 @@ GRAD_TOL = 1e-9
 # relative width of the band above sigma_1 whose eigenvectors are lifted
 # jointly by the ascent and fitted jointly by the phase residual
 NEAR_WIDTH = 1e-2
-# ascent solves ask for a band of sigma_0 and the next BAND - 1 eigenvalues;
-# a band whose top value lies within 1.5 NEAR_WIDTH of sigma_1 may have cut
-# the near cluster, and the solve falls back to the full spectrum.  The first
-# BAND eigenvector columns of the current state also span the Ritz screen of
-# its trial weights
+# the first BAND eigenvector columns of the current state, sigma_0's constant
+# among them, span the Ritz screen of its trial weights
 BAND = 9
 # a trial weight whose Ritz bound of sigma_1 * L lies below the current
 # value by more than this relative margin is rejected without a solve; the
@@ -69,7 +66,6 @@ class BudgetExhausted(RuntimeError):
 class EigensolveBudget:
     """Counter shared between nested searches; take() enforces the limit.
 
-    fallbacks counts the band solves redone in full; a redo takes no unit.
     screened counts the trials rejected by their Ritz bound; each takes one
     unit in place of its solve.
     """
@@ -79,7 +75,6 @@ class EigensolveBudget:
             raise ValueError("budget must allow at least one eigensolve")
         self.limit = int(limit)
         self.used = 0
-        self.fallbacks = 0
         self.screened = 0
 
     def take(self) -> None:
@@ -102,12 +97,11 @@ class AscentState:
     value) rows; within one smoothing level the values are nondecreasing
     because steps are only accepted on improvement.  phase_residuals records
     the boundary certificate residual at the end of each smoothing level.
-    fallbacks counts the solves whose band was redone in full.  eigensolves
-    counts budget units: every solved trial and every screened one, a trial
-    that its Ritz bound rejected without a solve; screened counts the
-    latter.  A configuration search returns its winning ascent with
-    eigensolves, fallbacks, screened and budget_exhausted counted over the
-    whole search.
+    eigensolves counts budget units: every solved trial and every screened
+    one, a trial that its Ritz bound rejected without a solve; screened
+    counts the latter.  A configuration search returns its winning ascent
+    with eigensolves, screened and budget_exhausted counted over the whole
+    search.
     """
 
     domain: CircleDomain
@@ -118,7 +112,6 @@ class AscentState:
     stalled: bool = False
     budget_exhausted: bool = False
     eigensolves: int = 0
-    fallbacks: int = 0
     screened: int = 0
     phase_residuals: list = field(default_factory=list)
 
@@ -206,7 +199,7 @@ def _step_candidate(samples, direction, s, eps):
 
 
 def _ritz_screen(basis, spec):
-    """Ritz values times weighted length for trial weights, from spec's band.
+    """Ritz values times weighted length for trial weights, from spec's first columns.
 
     V holds the first BAND eigenvector columns of spec, the constant among
     them.  For a weight table the returned function gives the eigenvalues of
@@ -298,17 +291,17 @@ def optimize_density(domain, init_density, eps_schedule=EPS_SCHEDULE,
     accepted one, since near an eigenvalue crossing the useful window can
     sit several orders of magnitude below 1.  A level ends on stationarity,
     on relative gains below rel_tol, on max_iters, or when no candidate
-    direction improves (stalled).  Each solve asks for the band of BAND
-    eigenvalues and is redone on the full spectrum when the band may have
-    cut the near cluster.  Before its solve a candidate is screened: on the
-    span of the current state's first BAND eigenvectors, the constant among
-    them, the second Ritz value of its pencil bounds its sigma_1 * L from
-    above, and a bound below value * (1 - SCREEN_MARGIN) rejects it without
-    a solve.  A screened candidate takes one budget unit and halves s as a
-    solved rejection does, so the search and every returned value are those
-    of the unscreened ascent.  The budget, when given, is shared with
-    the caller and the best state so far is returned once it runs out; a
-    level whose first solve does not fit leaves the previous level's state.
+    direction improves (stalled).  Each solve asks for the full spectrum,
+    so the near cluster is never cut.  Before its solve a candidate is
+    screened: on the span of the current state's first BAND eigenvectors,
+    the constant among them, the second Ritz value of its pencil bounds its
+    sigma_1 * L from above, and a bound below value * (1 - SCREEN_MARGIN)
+    rejects it without a solve.  A screened candidate takes one budget unit
+    and halves s as a solved rejection does, so the search and every
+    returned value are those of the unscreened ascent.  The budget, when
+    given, is shared with the caller and the best state so far is returned
+    once it runs out; a level whose first solve does not fit leaves the
+    previous level's state.
     """
     eps_schedule = tuple(float(e) for e in eps_schedule)
     if not eps_schedule or any(e <= 0.0 for e in eps_schedule):
@@ -318,18 +311,11 @@ def optimize_density(domain, init_density, eps_schedule=EPS_SCHEDULE,
     basis = build_basis(domain, M)
     if budget is None:
         budget = EigensolveBudget()
-    used0, fallbacks0, screened0 = budget.used, budget.fallbacks, budget.screened
+    used0, screened0 = budget.used, budget.screened
 
     def solve(d):
         budget.take()
-        spec = steklov_spectrum(domain, d, M, BAND, basis=basis)
-        vals = spec.eigenvalues
-        if spec.metadata["solve"] == "band" and (
-            vals.size < BAND or vals[-1] - vals[1] <= 1.5 * NEAR_WIDTH * max(1.0, vals[1])
-        ):
-            budget.fallbacks += 1
-            spec = steklov_spectrum(domain, d, M, basis=basis)
-        return spec
+        return steklov_spectrum(domain, d, M, basis=basis)
 
     dens = normalize(as_samples(domain, init_density, basis.n_quad))
     trace = []
@@ -401,7 +387,6 @@ def optimize_density(domain, init_density, eps_schedule=EPS_SCHEDULE,
         stalled=stalled,
         budget_exhausted=exhausted,
         eigensolves=budget.used - used0,
-        fallbacks=budget.fallbacks - fallbacks0,
         screened=budget.screened - screened0,
         phase_residuals=phase_residuals,
     )
@@ -537,8 +522,8 @@ def optimize_configuration(k: int, symmetry: str = "cyclic", budget: int = 6000)
     rotated onto the positive axis and every center and radius is free.
     Each probe runs a cheap weight ascent; the winner is polished by the
     default ascent of optimize_density.  The winning ascent is returned,
-    with eigensolves, fallbacks, screened and budget_exhausted counted over
-    the whole search.
+    with eigensolves, screened and budget_exhausted counted over the whole
+    search.
     Its value is the Rayleigh-Ritz sigma_1 * L of the returned weight at the
     degree it was computed with (PROBE_M when the polish does not beat the
     best probe, else 16).  Ritz values bound the true eigenvalue from above,
@@ -590,8 +575,8 @@ def optimize_configuration(k: int, symmetry: str = "cyclic", budget: int = 6000)
                 best = polished
         except BudgetExhausted:
             pass
-    return replace(best, eigensolves=bud.used, fallbacks=bud.fallbacks,
-                   screened=bud.screened, budget_exhausted=bud.exhausted)
+    return replace(best, eigensolves=bud.used, screened=bud.screened,
+                   budget_exhausted=bud.exhausted)
 
 
 def sweep_k(k_list, symmetry: str = "cyclic", budget: int = 6000) -> list:

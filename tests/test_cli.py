@@ -305,6 +305,10 @@ def test_bad_flags(workdir):
     # the truncation only applies to the spectrum that --T asks for
     for n_max in ("3", "8"):
         assert cli.dispatch(["closedform", "--n-max", n_max, "--out", "x.json"]) == 64
+    assert cli.dispatch(["closedform", "--T", "1", "--n-max", "0", "--out", "x.json"]) == 64
+    for cmd in ("spectrum", "maximize"):  # a basis is built for degrees 1 .. 64
+        for modes in ("0", "-2", "65"):
+            assert cli.dispatch([cmd, "--disk", "--modes", modes, "--out", "x.json"]) == 64
     # an empty grid divides by zero (ntheta) or has no Gauss nodes (nt)
     for grid in ("4,0", "0,4"):
         assert cli.dispatch(["surface", "verify", "--which", "flat-disk",
@@ -342,6 +346,23 @@ def test_numerical_failure_exits_3(workdir, monkeypatch):
         rc = cli.dispatch(["spectrum", "--disk", "--out", "x.json"])
         assert rc == 3
         assert read_log(workdir) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["closedform", "--T", "inf"],
+    ["closedform", "--T", "1", "--fT", "inf"],
+    ["closedform", "--topology", "moebius", "--T", "inf"],
+    ["dbar", "demo", "--T", "inf"],
+], ids=["annulus-T", "annulus-fT", "moebius-T", "dbar-T"])
+def test_infinite_T_exits_2(workdir, capsys, argv):
+    # closedform wrote "T": Infinity, which is not JSON, or sigma1_L 0 or nan;
+    # the demo failed on its collocation grid after a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.dispatch(argv + ["--out", "x.json"]) == 2
+    assert "T" in (err := capsys.readouterr().err) and "must be finite and positive" in err
+    assert not (workdir / "x.json").exists()
+    assert read_log(workdir) == []
 
 
 def test_nonpositive_dbar_T_exits_2_before_sampling(workdir):

@@ -96,3 +96,11 @@ def test_nmax_validation():
         annulus_spectrum(1.0, 1.0, 0)
     with pytest.raises(ValueError):
         moebius_spectrum(-0.5, 1.0, 4)
+
+
+@pytest.mark.parametrize("T, fT", [(math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0)])
+def test_infinite_T_or_fT_is_refused(T, fT):
+    # an infinite T gave sigma1_L = 0 and an infinite fT gave nan
+    for spectrum in (annulus_spectrum, moebius_spectrum):
+        with pytest.raises(ValueError, match="T and fT must be finite"):
+            spectrum(T, fT, 4)

@@ -142,9 +142,10 @@ def test_fredholm_dichotomy_random():
 
 
 def test_problem_validation():
-    with pytest.raises(ValueError):
-        DbarProblem(T=-1.0, rhs=np.zeros((8, 8), dtype=complex))
-    for T in (0.0, -1.0, math.nan):  # refused before the right-hand side is sampled
+    for T in (-1.0, math.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            DbarProblem(T=T, rhs=np.zeros((8, 8), dtype=complex))
+    for T in (0.0, -1.0, math.nan, math.inf):  # refused before the right-hand side is sampled
         with pytest.raises(ValueError, match="positive"):
             cylinder_problem(T, lambda t, th: pytest.fail("sampled"), nt=8, ntheta=8)
     with pytest.raises(ValueError):

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from scipy.linalg import lapack
 
 from steklov_lab import dtn
 from steklov_lab.basis import boundary_matrices, build_basis
@@ -27,7 +26,7 @@ from steklov_lab.dtn import (
     solve_eigensystem,
     steklov_spectrum,
 )
-from steklov_lab.maximizer import NEAR_WIDTH, _near_cluster, extremality_certificate
+from steklov_lab.maximizer import extremality_certificate
 
 DISK = CircleDomain()
 UNIFORM1 = BoundaryDensity.uniform(1)
@@ -213,60 +212,37 @@ def test_matches_cholesky_reference_on_seeded_domains():
             assert np.sqrt(np.max(np.abs(np.diag(E.T @ B @ E)))) < 1e-8
 
 
-def test_band_matches_full_path_on_seeded_domains():
-    p = 9
+def test_n_eigs_truncates_the_full_solve_on_seeded_domains():
     for i in range(40):
         k, M = 2 + i % 4, (12, 24, 48)[(i // 4) % 3]
         dom, dens = _seeded_weighted_domain(100 + i, k)
         basis = build_basis(dom, M)
-        mats = boundary_matrices(basis, as_samples(dom, dens, basis.n_quad))
         full = steklov_spectrum(dom, dens, basis=basis)
-        band = steklov_spectrum(dom, dens, basis=basis, n_eigs=p)
-        assert (full.metadata["solve"], band.metadata["solve"]) == ("full", "band")
-        assert band.metadata["rank"] == p and band.metadata["dropped"] == 0
-        vals, V = band.eigenvalues, band.eigenvectors
-        assert vals[0] == 0.0 and vals.size == p
-        assert np.max(np.abs(vals[1:] / full.eigenvalues[1:p] - 1.0)) < 1e-10
-        assert abs(band.boundary_length / full.boundary_length - 1.0) < 1e-14
-        assert np.max(np.abs(V.T @ mats.B @ V - np.eye(p))) < 1e-10
-        assert np.max(np.abs(mats.m @ V[:, 1:])) < 1e-10
-        # the near band lies inside the band here; its span is the full path's
-        near, ref = _near_cluster(band, NEAR_WIDTH), _near_cluster(full, NEAR_WIDTH)
-        assert near.shape == ref.shape and near.shape[1] < p - 1
-        E = near - ref @ (ref.T @ mats.B @ near)
-        assert np.sqrt(np.max(np.abs(np.diag(E.T @ mats.B @ E)))) < 1e-8
-
-
-def test_band_falls_back_to_syevr_when_stemr_fails(monkeypatch):
-    dom, dens = _seeded_weighted_domain(7, 3)
-    basis = build_basis(dom, 12)
-    ref = steklov_spectrum(dom, dens, basis=basis, n_eigs=9)
-    stemr = lapack.dstemr
-    monkeypatch.setattr(lapack, "dstemr", lambda *a, **kw: (*stemr(*a, **kw)[:3], 1))
-    spec = steklov_spectrum(dom, dens, basis=basis, n_eigs=9)
-    assert np.max(np.abs(spec.eigenvalues[1:] / ref.eigenvalues[1:] - 1.0)) < 1e-12
-    # the same columns up to sign (the values here are simple)
-    dots = np.abs(np.sum(spec.eigenvectors * ref.eigenvectors, axis=0))
-    norms = np.linalg.norm(ref.eigenvectors, axis=0) ** 2
-    assert np.max(np.abs(dots / norms - 1.0)) < 1e-8
+        for p in (2, 9):
+            part = steklov_spectrum(dom, dens, basis=basis, n_eigs=p)
+            assert part.metadata == full.metadata
+            assert np.array_equal(part.eigenvalues, full.eigenvalues[:p])
+            assert np.array_equal(part.eigenvectors, full.eigenvectors[:, :p])
+            assert part.clusters == [[j for j in c if j < p] for c in full.clusters if c[0] < p]
 
 
 def test_band_counts_dropped_columns_on_the_band():
     # weight on 10 of 256 nodes: the deflated mass block has rank 9, so of
-    # the 12 values a band of 13 asks for, 3 carry no mass
+    # the 24 values the solve finds, 15 carry no mass; a request for the
+    # first 13 counts them over the whole solve and returns the 10 kept
     values = np.zeros(256)
     values[::26] = 1.0
     samples = BoundaryMeasureSamples((values,), (1.0,))
     full = steklov_spectrum(DISK, samples, 12)
-    band = steklov_spectrum(DISK, samples, 12, n_eigs=13)
-    assert full.metadata["rank"] == band.metadata["rank"] == 10
-    assert (full.metadata["dropped"], band.metadata["dropped"]) == (15, 3)
-    assert band.eigenvalues.size == 10
-    assert np.max(np.abs(band.eigenvalues[1:] / full.eigenvalues[1:10] - 1.0)) < 1e-10
+    part = steklov_spectrum(DISK, samples, 12, n_eigs=13)
+    assert full.metadata["rank"] == part.metadata["rank"] == 10
+    assert full.metadata["dropped"] == part.metadata["dropped"] == 15
+    assert part.eigenvalues.size == 10
+    assert np.array_equal(part.eigenvalues, full.eigenvalues)
 
 
 @pytest.mark.parametrize(
-    "bad, n_eigs",  # the band request, then the full one
+    "bad, n_eigs",  # a request for the first 9 values, then the full one
     [(np.inf, 9), (np.nan, 9), (np.inf, None), (np.nan, None)],
     ids=["inf", "nan", "inf-full", "nan-full"],
 )
@@ -389,7 +365,7 @@ def test_inputs_of_another_domain_are_rejected():
     assert abs(steklov_spectrum(a, uniform).sigma1_L - 6.480740458928641) < 1e-9
     assert abs(steklov_spectrum(b, uniform).sigma1_L - 6.671069611073525) < 1e-9
     basis_b = build_basis(b, 16)
-    for n_eigs in (None, 9):  # the full and the band path
+    for n_eigs in (None, 9):  # the full request and the first 9 values
         with pytest.raises(ValueError, match="another domain"):
             steklov_spectrum(a, uniform, 16, n_eigs, basis=basis_b)
     with pytest.raises(ValueError, match="another domain"):
@@ -410,12 +386,9 @@ def test_ritz_values_decrease_with_degree():
 
 def test_residuals_and_metadata():
     spec = steklov_spectrum(DISK, UNIFORM1, M=10, n_eigs=5)
-    assert spec.metadata["M"] == 10
-    assert spec.metadata["n_quad"] == 256
-    assert spec.metadata["dropped"] == 0
-    assert spec.metadata["solve"] == "band"
-    # a request of the whole basis is the full solve
-    assert steklov_spectrum(DISK, UNIFORM1, M=10, n_eigs=21).metadata["solve"] == "full"
+    # rank and dropped count over the whole solve, not the 5 values returned
+    assert spec.metadata == {"M": 10, "n_quad": 256, "dropped": 0, "rank": 21}
+    assert spec.eigenvalues.size == 5
     # relative residual |A v - sigma B v| / |B v| of each returned pair
     basis = build_basis(DISK, 10)
     sys_ = boundary_matrices(basis, as_samples(DISK, UNIFORM1, basis.n_quad))
@@ -431,7 +404,7 @@ def test_degenerate_mass_matrix():
 
 def test_indefinite_dirichlet_block_raises():
     A = np.diag([0.0, 1.0, -1.0])
-    with pytest.raises(np.linalg.LinAlgError):
+    with pytest.raises(np.linalg.LinAlgError, match="Dirichlet block is not positive definite"):
         solve_eigensystem(A, np.eye(3), np.array([1.0, 0.0, 0.0]))
 
 

@@ -419,41 +419,21 @@ def test_budget_exhaustion_returns_best_state():
 def test_budget_out_on_level_start_keeps_attained_state(limit):
     # the budget runs out on the first solve of a smoothing level: the
     # returned weight, eps and value are those of the last solved state,
-    # recomputed by the ascent's own band request
+    # recomputed by the ascent's own request
     st = optimize_density(DISK, BoundaryDensity(((0.0, 0.4, 0.0),)),
                           budget=EigensolveBudget(limit))
-    assert st.budget_exhausted and st.fallbacks == 0
-    assert steklov_spectrum(DISK, st.density, 16, maximizer.BAND).sigma1_L == st.value
+    assert st.budget_exhausted
+    assert steklov_spectrum(DISK, st.density, 16).sigma1_L == st.value
     assert st.eps == st.trace[-1][1]
 
 
-def test_cut_band_falls_back_to_the_full_solve(monkeypatch):
-    # a band of sigma_0 and sigma_1 alone ends inside the near band (and on
-    # the disk sigma_1 is double, so it cuts a cluster): every solve is
-    # redone in full (a screened trial runs none), the redo takes no budget
-    # unit, and the ascent is the one the full path gives
-    seed = BoundaryDensity(((0.0, 0.4, 0.0),))
-    schedule = (1e-1, 1e-2)
-    monkeypatch.setattr(maximizer, "BAND", 2)
-    cut = optimize_density(DISK, seed, schedule, 6)
-    monkeypatch.undo()
-    monkeypatch.setattr(maximizer, "steklov_spectrum",
-                        lambda dom, d, M, n_eigs=None, **kw: steklov_spectrum(dom, d, M, **kw))
-    full = optimize_density(DISK, seed, schedule, 6)
-    assert cut.fallbacks == cut.eigensolves - cut.screened > 0 and full.fallbacks == 0
-    assert cut.spectrum.metadata["solve"] == full.spectrum.metadata["solve"] == "full"
-    assert cut.value == full.value and cut.trace == full.trace
-    assert cut.eigensolves == full.eigensolves
-    assert np.array_equal(cut.density.values, full.density.values)
-    assert np.array_equal(cut.spectrum.eigenvalues, full.spectrum.eigenvalues)
-    assert np.array_equal(cut.spectrum.eigenvectors, full.spectrum.eigenvectors)
-    assert cut.phase_residuals == full.phase_residuals
-
-
 def test_band_ascent_keeps_its_band(disk_state):
-    assert disk_state.fallbacks == 0
-    assert disk_state.spectrum.metadata["solve"] == "band"
-    assert disk_state.spectrum.eigenvalues.size == maximizer.BAND
+    # the ascent keeps the full spectrum of its weight, not only the BAND
+    # columns that span its Ritz screen
+    again = steklov_spectrum(DISK, disk_state.density, 16)
+    assert disk_state.spectrum.eigenvalues.size == again.metadata["rank"] > maximizer.BAND
+    assert np.array_equal(disk_state.spectrum.eigenvalues, again.eigenvalues)
+    assert np.array_equal(disk_state.spectrum.eigenvectors, again.eigenvectors)
 
 
 def test_budget_take_raises_when_spent():
@@ -483,7 +463,7 @@ def _seeded_state(seed):
     ))
     basis = build_basis(dom, 12)
     samples = normalize(as_samples(dom, dens, basis.n_quad))
-    return basis, samples, steklov_spectrum(dom, samples, basis=basis, n_eigs=maximizer.BAND)
+    return basis, samples, steklov_spectrum(dom, samples, basis=basis)
 
 
 def test_ritz_bound_lies_above_the_solved_value():
@@ -496,9 +476,8 @@ def test_ritz_bound_lies_above_the_solved_value():
             for s in (1.0, 2.0 ** -3, 2.0 ** -8):
                 cand = maximizer._step_candidate(samples, d, s, rng.choice([1e-1, 1e-2, 1e-3]))
                 vals = ritz(cand)
-                solved = steklov_spectrum(basis.domain, cand, basis=basis,
-                                          n_eigs=maximizer.BAND).sigma1_L
-                assert vals.shape == (spec.eigenvalues.size,)
+                solved = steklov_spectrum(basis.domain, cand, basis=basis).sigma1_L
+                assert vals.shape == (maximizer.BAND,)
                 assert abs(vals[0]) <= 1e-12 * vals[1]  # the constant
                 assert vals[1] >= solved * (1.0 - 1e-13)
                 below += vals[1] < spec.sigma1_L
@@ -563,12 +542,6 @@ def test_configuration_search_k2(monkeypatch):
     # the reported value is attained by the returned weight
     again = steklov_spectrum(res.domain, res.density, M=24)
     assert abs(again.sigma1_L - res.value) < 1e-4
-
-
-def test_configuration_search_counts_fallbacks(monkeypatch):
-    monkeypatch.setattr(maximizer, "BAND", 2)
-    res = optimize_configuration(2, budget=30)
-    assert res.fallbacks == res.eigensolves == 30
 
 
 def test_sweep_disk_only():

@@ -6,9 +6,11 @@ scipy each bundle their own OpenBLAS, which read the thread variables when
 they load, so the count is set at runtime through each library's exported
 setter.  A library that is absent or lacks the symbol is skipped.
 
-Importing ``scipy`` only locates its bundled library; ``scipy.linalg`` loads
-on the first eigensolve and links to the library opened here, so the pin
-applies to the LAPACK that solve calls.
+Every kernel of the program, the eigensolve's LAPACK included, runs on
+numpy's library, and no run loads ``scipy.linalg``.  Importing ``scipy``
+only locates its bundled library, which is pinned too: its count is part of
+every run manifest, and a caller that loads ``scipy.linalg`` links to the
+library opened here.
 """
 
 from __future__ import annotations

@@ -207,8 +207,9 @@ def boundary_matrices(
 
     ``samples`` must sit on the basis quadrature grid (``basis.n_quad``
     points per circle); ``domain.as_samples`` puts any weight there.  The
-    measure d(mu) = lambda ds is the table itself times 2 pi / n_quad.  A
-    non-finite or negative weight raises ValueError.
+    measure d(mu) = lambda ds is the table itself times 2 pi / n_quad, and
+    B = F F^T with F the trace table P times sqrt(mu).  A non-finite or
+    negative weight raises ValueError.
     """
     P = basis.traces().reshape(basis.size, -1)
     w = samples.values.reshape(-1) * (2.0 * math.pi / basis.n_quad)
@@ -216,6 +217,6 @@ def boundary_matrices(
         raise ValueError("boundary weight has non-finite values")
     if np.any(w < 0.0):
         raise ValueError("boundary weight has negative values")
-    B = (P * w) @ P.T
-    B = 0.5 * (B + B.T)
-    return EigenSystemMatrices(A=dirichlet_matrix(basis), B=B, m=P @ w)
+    F = P * np.sqrt(w)
+    # F @ F.T runs as BLAS syrk, so B is exactly symmetric
+    return EigenSystemMatrices(A=dirichlet_matrix(basis), B=F @ F.T, m=P @ w)

@@ -7,6 +7,7 @@ back to the exact invocation.  The parser is the manifest: its inputs are
 every parsed flag of the command, defaults included, and the tolerances
 (``cluster_tol``, ``solvability_tol``) sit under their own key.  Handlers only
 compute; ``dispatch`` builds the manifest, writes the output and logs the run.
+The parser is built once, on import, and every dispatch reuses it.
 The hash covers the package version but not the source, so it identifies an
 invocation of one code version.  Outputs are
 deterministic: with the same code, the same manifest produces byte-identical
@@ -15,9 +16,11 @@ OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS is set; the thread
 count can move the last digits of eigenvalues, so the manifest hash records
 it (``sweep --k 2,3 --budget 20 --out sweep.csv`` runs under hash
 2af83fe76915424b with one thread and under be0dba71d4255ef4 with
-OPENBLAS_NUM_THREADS=2; ``spectrum --holes "0.3,0,0.2;-0.4,0.1,0.15"``
-writes sigma1_L 6.498655486332764 with one thread and 6.498655486332763
-with two).
+OPENBLAS_NUM_THREADS=2, and it writes k=2 as 6.571530106711584 with one
+thread and 6.5715301067115846 with two; ``spectrum --holes
+"0.3,0,0.2;-0.4,0.1,0.15"``, which wrote sigma1_L 6.498655486332764 with one
+thread and 6.498655486332763 with two while its eigensolve ran on scipy's
+LAPACK, writes 6.498655486332763 with either on numpy's).
 """
 
 from __future__ import annotations
@@ -461,10 +464,13 @@ def build_parser() -> _Parser:
     return p
 
 
+# built once per process; a parse keeps no state in the parser
+_PARSER = build_parser()
+
+
 def dispatch(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         if getattr(args, "command", None) is None:
             raise UnknownCommand("no command given; see --help")
         if not hasattr(args, "func"):
@@ -472,7 +478,8 @@ def dispatch(argv) -> int:
             raise UnknownCommand(f"{sub} needs a subcommand; see {sub} --help")
         start = time.perf_counter()
         man = _manifest(args)
-        kind, result = args.func(args)
+        # by name, so the handler is the module's at dispatch time, not at the build
+        kind, result = globals()[args.func.__name__](args)
         with open(args.out, "w") as fh:
             _WRITERS[kind](fh, man.hash, result)
         man.timing = time.perf_counter() - start

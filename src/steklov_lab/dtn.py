@@ -7,13 +7,11 @@ non-constant elements (which deflates the constant exactly), and the
 eigenvalues 1 / sigma of that block against their Dirichlet block are
 computed by one solve, ``solve_eigensystem``.  Every request assembles the
 mass matrix once (``boundary_matrices``) and takes every eigenpair by one
-LAPACK ``sygvd`` call (``scipy.linalg.eigh`` with ``driver="gvd"``); a
-request for the first ``n_eigs`` values keeps the first columns of that
-solve.
-
-LAPACK loads on the first eigensolve: the solve imports ``scipy.linalg``
-itself, so a process that runs none (the closed forms, surfaces and
-d-bar) never loads it, and it links to the OpenBLAS that ``_blas`` pinned.
+Cholesky reduction to a standard symmetric problem on ``numpy.linalg``
+(the steps of LAPACK ``sygvd``, with the inverse of the factor built from
+matrix products); a request for the first ``n_eigs`` values keeps the first
+columns of that solve.  No run loads ``scipy.linalg``: every kernel here
+runs on numpy's OpenBLAS, which ``_blas`` pinned.
 
 sigma_0 = 0 is returned with the constant eigenvector.  All returned
 eigenvalues are Rayleigh-Ritz upper bounds of the true Steklov eigenvalues
@@ -30,6 +28,8 @@ from .basis import HarmonicBasis, boundary_matrices, build_basis
 from .domain import CircleDomain, as_samples
 
 CLUSTER_TOL = 1e-6
+# rows at which the blocked inverse of the Cholesky factor stops splitting
+INV_BLOCK = 64
 
 
 class MassMatrixDegenerate(ValueError):
@@ -119,6 +119,25 @@ def _check_n_eigs(n_eigs: int | None) -> None:
         raise ValueError(f"n_eigs must be at least 1 (sigma_0 counts), got {n_eigs}")
 
 
+def _lower_inverse(L: np.ndarray) -> np.ndarray:
+    """Inverse of a lower triangular L, exactly zero above the diagonal.
+
+    With L = [[L11, 0], [L21, L22]] the inverse is [[Li11, 0], [Li21, Li22]]
+    with Li21 = -Li22 L21 Li11, so above ``INV_BLOCK`` rows the work is two
+    matrix products per split; ``np.linalg.inv`` of the whole factor runs
+    LU on it and is several times slower at n = 484.
+    """
+    n = L.shape[0]
+    if n <= INV_BLOCK:
+        return np.tril(np.linalg.inv(L))
+    h = n // 2
+    Li = np.zeros_like(L)
+    Li[:h, :h] = Li11 = _lower_inverse(L[:h, :h])
+    Li[h:, h:] = Li22 = _lower_inverse(L[h:, h:])
+    Li[h:, :h] = -(Li22 @ L[h:, :h]) @ Li11
+    return Li
+
+
 def solve_eigensystem(
     A: np.ndarray,
     B: np.ndarray,
@@ -133,18 +152,17 @@ def solve_eigensystem(
     Because element 0 is the constant, A[0] = 0 and B[0] = m.  With L = m[0]
     and primes marking the non-constant block, the problem on {m . x = 0} is
     A' x' = sigma S x' with S = B' - m' m'^T / L.  A' is positive definite,
-    so it is solved as S z = mu A' z with sigma = 1 / mu by
-    ``scipy.linalg.eigh(S, A', driver="gvd")`` (LAPACK sygvd: potrf, sygst,
-    syevd and a triangular back-transform), and x' = z / sqrt(mu) is
-    B-orthonormal.  Directions with mu <= (n - 1) eps mu_max carry no
-    boundary mass and are dropped: ``dropped`` counts them and ``rank`` the
-    kept ones plus sigma_0, over the whole solve.  ``n_eigs`` keeps the
-    first n_eigs values and columns of that solve.  A Dirichlet block that
-    is not positive definite raises LinAlgError, and a non-finite entry of
-    A' or B' or an ``n_eigs`` below 1 raises ValueError.
+    so it is solved as S z = mu A' z with sigma = 1 / mu: A' = G G^T
+    (``potrf``), Li = G^-1 by ``_lower_inverse``, the eigenpairs (mu, y) of
+    the symmetrized C = Li S Li^T (``syevd``, as inside ``sygvd``) and
+    z = Li^T y, so z^T A' z = 1 and x' = z / sqrt(mu) is B-orthonormal.
+    Directions with mu <= (n - 1) eps mu_max carry no boundary mass and are
+    dropped: ``dropped`` counts them and ``rank`` the kept ones plus sigma_0,
+    over the whole solve.  ``n_eigs`` keeps the first n_eigs values and
+    columns of that solve.  A Dirichlet block that is not positive definite
+    raises LinAlgError, and a non-finite entry of A' or B' or an ``n_eigs``
+    below 1 raises ValueError.
     """
-    import scipy.linalg as sla
-
     _check_n_eigs(n_eigs)
 
     n = A.shape[0]
@@ -157,17 +175,17 @@ def solve_eigensystem(
     S = B[1:, 1:] - np.outer(mp, mp) / L_total
     if not (np.all(np.isfinite(Ap)) and np.all(np.isfinite(S))):
         raise ValueError("Dirichlet or mass block has non-finite entries")
-    # Ap is a view of the basis's cached Dirichlet block: it must not be overwritten
     try:
-        mu, X = sla.eigh(S, Ap, lower=True, driver="gvd", check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        if "positive definite" not in str(exc):
-            raise
+        Li = _lower_inverse(np.linalg.cholesky(Ap))
+    except np.linalg.LinAlgError:
         raise np.linalg.LinAlgError("Dirichlet block is not positive definite") from None
-    mu, X = mu[::-1], X[:, ::-1]
+    # the two triangles of C = Li S Li^T round differently and eigh reads one
+    C = Li @ S @ Li.T
+    mu, Y = np.linalg.eigh(0.5 * (C + C.T))
+    mu, Y = mu[::-1], Y[:, ::-1]
     kept = int(np.count_nonzero(mu > (n - 1) * np.finfo(float).eps * abs(mu[0])))
     mu = mu[:kept]
-    X = X[:, :kept] / np.sqrt(mu)
+    X = (Li.T @ Y[:, :kept]) / np.sqrt(mu)
     # sigma_0 = 0 with the constant, then sigma = 1 / mu with the columns
     vals = np.concatenate(([0.0], 1.0 / mu))
     vecs = np.zeros((n, vals.size))

@@ -53,16 +53,17 @@ maps = []
 if sys.platform.startswith("linux"):
     with open("/proc/self/maps") as fh:
         maps = sorted({ln.split()[-1] for ln in fh if "/libscipy_openblas-" in ln})
-print(json.dumps([blas_threads(), maps]))
+print(json.dumps([blas_threads(), maps, "scipy.linalg" in sys.modules]))
 """
 
 
 @pytest.mark.parametrize("var, n", [(None, 1), ("OPENBLAS_NUM_THREADS", 2)])
 def test_pin_holds_when_lapack_loads_after_the_package(var, n):
-    # _blas opens scipy's OpenBLAS through ctypes before scipy.linalg links
-    # to it; the eigensolve must find that same library, mapped once
-    threads, maps = _run(EIGENSOLVE_FIRST, **({var: str(n)} if var else {}))
+    # the eigensolve runs on numpy's pinned OpenBLAS and loads no scipy.linalg;
+    # scipy's library stays the one _blas opened through ctypes, mapped once
+    threads, maps, linalg = _run(EIGENSOLVE_FIRST, **({var: str(n)} if var else {}))
     assert threads == {"numpy": n, "scipy": n}
+    assert not linalg
     if sys.platform.startswith("linux"):
         assert len(maps) == 1
 

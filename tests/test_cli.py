@@ -193,6 +193,23 @@ def test_pinned_manifest_hashes(workdir, monkeypatch):
         assert h == expect, (argv, h)
 
 
+def test_one_parser_serves_every_dispatch(workdir, monkeypatch):
+    # a rejected flag and the --fT of one dispatch must not reach the next
+    monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("parser rebuilt"))
+    assert cli.dispatch(["closedform", "--fT", "0.8", "--out", "bad.json"]) == 64
+    pinned = dict((tuple(argv), h) for argv, h in PINNED_HASHES)
+    for argv in (["closedform", "--topology", "annulus", "--T", "1.3", "--fT", "0.8",
+                  "--out", "ann.json"],
+                 ["closedform", "--topology", "moebius", "--out", "mb.json"]):
+        assert cli.dispatch(argv) == 0, argv
+        rec = read_log(workdir)[-1]
+        assert read_json(argv[-1])["manifest_hash"] == rec["manifest_hash"]
+        fields = {k: rec[k] for k in ("command", "inputs", "version", "tolerances")}
+        h = cli.RunManifest(**fields, blas_threads={"numpy": 1, "scipy": 1}).hash
+        assert h == pinned[tuple(argv)], (argv, h)
+    assert len(read_log(workdir)) == 2 and not (workdir / "bad.json").exists()
+
+
 def test_readme_examples_parse():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## Command line", 1)[1].split("```")[1]

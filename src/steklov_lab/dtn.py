@@ -10,8 +10,8 @@ mass matrix once (``boundary_matrices``) and takes every eigenpair by one
 Cholesky reduction to a standard symmetric problem on ``numpy.linalg``
 (the steps of LAPACK ``sygvd``, with the inverse of the factor built from
 matrix products); a request for the first ``n_eigs`` values keeps the first
-columns of that solve.  No run loads ``scipy.linalg``: every kernel here
-runs on numpy's OpenBLAS, which ``_blas`` pinned.
+columns of that solve.  No run loads scipy: every kernel here runs on
+numpy's OpenBLAS, which ``_blas`` pinned.
 
 sigma_0 = 0 is returned with the constant eigenvector.  All returned
 eigenvalues are Rayleigh-Ritz upper bounds of the true Steklov eigenvalues

@@ -13,7 +13,7 @@ from steklov_lab._blas import USER_VARS, blas_threads
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(steklov_lab.__file__)))
 
 if None in blas_threads().values():
-    pytest.skip("numpy or scipy without a bundled OpenBLAS", allow_module_level=True)
+    pytest.skip("numpy without a bundled OpenBLAS", allow_module_level=True)
 
 
 def _run(code, **env_vars):
@@ -27,7 +27,7 @@ def _run(code, **env_vars):
 
 MANIFEST = """
 import json
-import numpy, scipy.linalg
+import numpy
 import steklov_lab.cli as cli
 from steklov_lab._blas import blas_threads
 print(json.dumps([blas_threads(), cli.RunManifest("sweep", {}).reproducible()["blas_threads"]]))
@@ -35,47 +35,45 @@ print(json.dumps([blas_threads(), cli.RunManifest("sweep", {}).reproducible()["b
 
 
 def test_import_pins_one_thread_after_numpy_loaded():
-    assert _run(MANIFEST) == [{"numpy": 1, "scipy": 1}] * 2
+    assert _run(MANIFEST) == [{"numpy": 1}] * 2
 
 
 @pytest.mark.parametrize("var", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
 def test_user_thread_variable_is_left_alone(var):
-    assert _run(MANIFEST, **{var: "2"}) == [{"numpy": 2, "scipy": 2}] * 2
+    assert _run(MANIFEST, **{var: "2"}) == [{"numpy": 2}] * 2
 
 
 EIGENSOLVE_FIRST = """
 import json, sys
 import steklov_lab
-assert "scipy.linalg" not in sys.modules
 steklov_lab.steklov_spectrum(steklov_lab.CircleDomain(), steklov_lab.BoundaryDensity.uniform(1), 4)
 from steklov_lab._blas import blas_threads
 maps = []
 if sys.platform.startswith("linux"):
     with open("/proc/self/maps") as fh:
         maps = sorted({ln.split()[-1] for ln in fh if "/libscipy_openblas-" in ln})
-print(json.dumps([blas_threads(), maps, "scipy.linalg" in sys.modules]))
+print(json.dumps([blas_threads(), maps, "scipy" in sys.modules]))
 """
 
 
 @pytest.mark.parametrize("var, n", [(None, 1), ("OPENBLAS_NUM_THREADS", 2)])
 def test_pin_holds_when_lapack_loads_after_the_package(var, n):
-    # the eigensolve runs on numpy's pinned OpenBLAS and loads no scipy.linalg;
-    # scipy's library stays the one _blas opened through ctypes, mapped once
-    threads, maps, linalg = _run(EIGENSOLVE_FIRST, **({var: str(n)} if var else {}))
-    assert threads == {"numpy": n, "scipy": n}
-    assert not linalg
-    if sys.platform.startswith("linux"):
-        assert len(maps) == 1
+    # the eigensolve runs on numpy's pinned OpenBLAS; neither it nor _blas
+    # imports scipy or maps scipy's library
+    threads, maps, scipy_loaded = _run(EIGENSOLVE_FIRST, **({var: str(n)} if var else {}))
+    assert threads == {"numpy": n}
+    assert not scipy_loaded
+    assert maps == []
 
 
 def test_missing_libraries_are_skipped(tmp_path):
     code = """
-import json
+import json, os
 import steklov_lab._blas as b
 import steklov_lab.cli as cli
-b._LIBS = tuple((name, %r, pattern, suffix) for name, _, pattern, suffix in b._LIBS)
+b._LIB = os.path.join(%r, os.path.basename(b._LIB))
 pinned = b.pin_blas_threads()
 man = cli.RunManifest("sweep", {})
 print(json.dumps([pinned, man.reproducible()["blas_threads"], len(man.hash)]))
 """
-    assert _run(code % str(tmp_path)) == [{"numpy": None, "scipy": None}] * 2 + [16]
+    assert _run(code % str(tmp_path)) == [{"numpy": None}] * 2 + [16]

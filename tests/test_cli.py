@@ -2,15 +2,21 @@ import json
 import math
 import os
 import shlex
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import steklov_lab
 import steklov_lab.cli as cli
+from steklov_lab._blas import USER_VARS
 from steklov_lab.dtn import MassMatrixDegenerate
 from steklov_lab.maximizer import sweep_k
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(steklov_lab.__file__)))
 
 
 @pytest.fixture
@@ -22,6 +28,13 @@ def workdir(tmp_path, monkeypatch):
 def read_json(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+def _quoting_texts():
+    # README and the cli docstring, whitespace-folded and without backticks
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return {name: " ".join(text.split()).replace("`", "")
+            for name, text in (("README", readme), ("cli", cli.__doc__))}
 
 
 def read_log(workdir):
@@ -132,50 +145,56 @@ def test_sweep_rows_follow_input_order(workdir):
 def test_quoted_sweep_hashes(workdir, monkeypatch):
     # README and the module docstring quote the manifest hashes of
     # `sweep --k 2,3 --budget 20 --out sweep.csv` under one and two BLAS
-    # threads; the manifest is the one dispatch logs, with the thread count set
+    # threads; the manifest is the one dispatch logs, with the thread count of
+    # each library it records set
     monkeypatch.setattr(cli, "sweep_k", lambda *a: [])
     assert cli.dispatch(["sweep", "--k", "2,3", "--budget", "20", "--out", "sweep.csv"]) == 0
     rec = read_log(workdir)[0]
     fields = {k: rec[k] for k in ("command", "inputs", "version", "tolerances")}
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    texts = {"README": " ".join(readme.split()), "cli": " ".join(cli.__doc__.split())}
+    texts = _quoting_texts()
     for n, words in ((1, "with one thread"), (2, "with OPENBLAS_NUM_THREADS=2")):
-        h = cli.RunManifest(**fields, blas_threads={"numpy": n, "scipy": n}).hash
+        h = cli.RunManifest(**fields, blas_threads={lib: n for lib in rec["blas_threads"]}).hash
         for name, text in texts.items():
-            assert f"{h} {words}" in text.replace("`", ""), (name, n, h)
+            assert f"{h} {words}" in text, (name, n, h)
 
 
 def test_quoted_spectrum_value(workdir):
     # README and the module docstring quote the sigma1_L this invocation
-    # writes under the default single BLAS thread
-    quoted = 6.498655486332764
+    # writes under one and under two BLAS threads, each run in a fresh process
+    # so the thread count applies from import on
     argv = ["spectrum", "--holes", "0.3,0,0.2;-0.4,0.1,0.15", "--out", "two.json"]
-    assert cli.dispatch(argv) == 0
-    assert abs(read_json("two.json")["sigma1_L"] - quoted) <= 8 * np.spacing(quoted)
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    for text in (readme, cli.__doc__):
-        assert f"{quoted!r} with one thread" in " ".join(text.split()).replace("`", "")
+    texts = _quoting_texts()
+    for n, words in ((1, "with one thread"), (2, "with two")):
+        env = {k: v for k, v in os.environ.items() if k not in USER_VARS}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        if n > 1:
+            env["OPENBLAS_NUM_THREADS"] = str(n)
+        subprocess.run([sys.executable, "-m", "steklov_lab.cli", *argv], env=env,
+                       capture_output=True, timeout=120, check=True)
+        value = read_json("two.json")["sigma1_L"]
+        for name, text in texts.items():
+            assert f"sigma1_L {value!r} {words}" in text, (name, n, value)
 
 
 # one invocation per command and output kind, with the manifest hash it logs
 # under one BLAS thread
 PINNED_HASHES = [
-    (["spectrum", "--disk", "--modes", "12", "--out", "disk.json"], "f1150402901604b7"),
+    (["spectrum", "--disk", "--modes", "12", "--out", "disk.json"], "257cef065e528821"),
     (["spectrum", "--holes", "0.3,0,0.2;-0.4,0.1,0.15", "--out", "two.json"],
-     "dc9787797890ecd1"),
+     "c50195a21b66d994"),
     (["closedform", "--topology", "annulus", "--T", "1.3", "--fT", "0.8",
-      "--out", "ann.json"], "478c2bff65283752"),
-    (["closedform", "--topology", "moebius", "--out", "mb.json"], "510e4d67d305d1f4"),
+      "--out", "ann.json"], "757c2d9039885a26"),
+    (["closedform", "--topology", "moebius", "--out", "mb.json"], "a3fef6b520c5b29e"),
     (["maximize", "--disk", "--certificate", "--iters", "5", "--out", "max.json"],
-     "764f2c1f4ecec37e"),
-    (["sweep", "--k", "2,3", "--budget", "20", "--out", "sweep.csv"], "2af83fe76915424b"),
+     "c1fd30bfca60b85a"),
+    (["sweep", "--k", "2,3", "--budget", "20", "--out", "sweep.csv"], "c70927d3373e263c"),
     (["surface", "verify", "--which", "critical-catenoid", "--out", "cat.json"],
-     "643ee5a927e78bfc"),
+     "647a96850bb1e7f2"),
     (["surface", "verify", "--which", "flat-disk", "--grid", "32,64", "--out", "fd.json"],
-     "cce72fddb1aee2e2"),
-    (["dbar", "demo", "--out", "demo.json"], "edd50b537db97c47"),
-    (["dbar", "demo", "--unsolvable", "--out", "blocked.json"], "5736b520981ce2ed"),
-    (["export-obj", "--which", "critical-moebius", "--out", "mb.obj"], "aaf3320c1b61c745"),
+     "0f74e0e9a5ea7ba7"),
+    (["dbar", "demo", "--out", "demo.json"], "514620da4faa7df8"),
+    (["dbar", "demo", "--unsolvable", "--out", "blocked.json"], "5ebd7eeb8b06dfad"),
+    (["export-obj", "--which", "critical-moebius", "--out", "mb.obj"], "418f5447ed512f6e"),
 ]
 
 
@@ -189,7 +208,7 @@ def test_pinned_manifest_hashes(workdir, monkeypatch):
         rec = read_log(workdir)[-1]
         assert read_json(argv[-1])["manifest_hash"] == rec["manifest_hash"]
         fields = {k: rec[k] for k in ("command", "inputs", "version", "tolerances")}
-        h = cli.RunManifest(**fields, blas_threads={"numpy": 1, "scipy": 1}).hash
+        h = cli.RunManifest(**fields, blas_threads={lib: 1 for lib in rec["blas_threads"]}).hash
         assert h == expect, (argv, h)
 
 
@@ -205,7 +224,7 @@ def test_one_parser_serves_every_dispatch(workdir, monkeypatch):
         rec = read_log(workdir)[-1]
         assert read_json(argv[-1])["manifest_hash"] == rec["manifest_hash"]
         fields = {k: rec[k] for k in ("command", "inputs", "version", "tolerances")}
-        h = cli.RunManifest(**fields, blas_threads={"numpy": 1, "scipy": 1}).hash
+        h = cli.RunManifest(**fields, blas_threads={lib: 1 for lib in rec["blas_threads"]}).hash
         assert h == pinned[tuple(argv)], (argv, h)
     assert len(read_log(workdir)) == 2 and not (workdir / "bad.json").exists()
 

@@ -14,7 +14,9 @@ evaluated in one call and cached as one (size, k, n_quad) trace table; the
 normal derivatives from the same pass are used once, for the Dirichlet
 block, and dropped.  Each matrix is one product over the k * n_quad
 flattened boundary nodes; ``boundary_matrices`` is the one mass assembly
-that every eigensolve in ``dtn`` starts from, and nothing here calls LAPACK.
+that every eigensolve in ``dtn`` starts from.  The one LAPACK call here is
+the Cholesky factor of the Dirichlet block, whose inverse a basis forms on
+its first solve and keeps for every later one (``inverse_factor``).
 Off the boundary, ``dz_at`` differentiates given coefficient columns
 directly, one Horner sum per circle, so no (size, npts) table is built for
 interior points.
@@ -30,6 +32,8 @@ import numpy as np
 from .domain import BoundaryMeasureSamples, CircleDomain, validate
 
 MAX_DEGREE = 64
+# rows at which the blocked inverse of the Cholesky factor stops splitting
+INV_BLOCK = 64
 
 
 class DegreeTooLarge(ValueError):
@@ -62,6 +66,7 @@ class HarmonicBasis:
         self.n_quad = _quad_size(M)
         self._traces: np.ndarray | None = None
         self._dirichlet: np.ndarray | None = None
+        self._inverse_factor: np.ndarray | None = None
 
     @property
     def size(self) -> int:
@@ -180,6 +185,17 @@ class HarmonicBasis:
             self._traces = vals.reshape(self.size, k, self.n_quad)
         return self._traces
 
+    def inverse_factor(self) -> np.ndarray:
+        """Li = G^-1 for the Cholesky factor G of the non-constant Dirichlet block.
+
+        Formed by ``dirichlet_inverse_factor`` on the first call, which is the
+        basis's first solve, and kept for every later one; a basis used only
+        for traces never forms it.
+        """
+        if self._inverse_factor is None:
+            self._inverse_factor = dirichlet_inverse_factor(dirichlet_matrix(self))
+        return self._inverse_factor
+
 
 @dataclass(frozen=True)
 class EigenSystemMatrices:
@@ -198,6 +214,41 @@ def dirichlet_matrix(basis: HarmonicBasis) -> np.ndarray:
     """Dirichlet energy Gram matrix via the boundary flux pairing, symmetrized."""
     basis.traces()  # forms the block with the trace table
     return basis._dirichlet
+
+
+def _lower_inverse(L: np.ndarray) -> np.ndarray:
+    """Inverse of a lower triangular L, exactly zero above the diagonal.
+
+    With L = [[L11, 0], [L21, L22]] the inverse is [[Li11, 0], [Li21, Li22]]
+    with Li21 = -Li22 L21 Li11, so above ``INV_BLOCK`` rows the work is two
+    matrix products per split; ``np.linalg.inv`` of the whole factor runs
+    LU on it and is several times slower at n = 484.
+    """
+    n = L.shape[0]
+    if n <= INV_BLOCK:
+        return np.tril(np.linalg.inv(L))
+    h = n // 2
+    Li = np.zeros_like(L)
+    Li[:h, :h] = Li11 = _lower_inverse(L[:h, :h])
+    Li[h:, h:] = Li22 = _lower_inverse(L[h:, h:])
+    Li[h:, :h] = -(Li22 @ L[h:, :h]) @ Li11
+    return Li
+
+
+def dirichlet_inverse_factor(A: np.ndarray) -> np.ndarray:
+    """Li = G^-1 with A' = G G^T the Cholesky factor (``potrf``) of A' = A[1:, 1:].
+
+    A is a stiffness matrix whose element 0 is the constant, so A' is its
+    positive definite block.  A non-finite entry of A' raises ValueError,
+    and a block that is not positive definite LinAlgError.
+    """
+    Ap = A[1:, 1:]
+    if not np.all(np.isfinite(Ap)):
+        raise ValueError("Dirichlet or mass block has non-finite entries")
+    try:
+        return _lower_inverse(np.linalg.cholesky(Ap))
+    except np.linalg.LinAlgError:
+        raise np.linalg.LinAlgError("Dirichlet block is not positive definite") from None
 
 
 def boundary_matrices(

@@ -11,6 +11,9 @@ per circle on one shared power-of-two grid, and a (k,) array of radii);
 read, and moves a table between power-of-two grids exactly (striding down,
 Fourier zero padding up).  Heat smoothing acts on the whole table as the
 exact Fourier multiplier of the circle heat kernel, one FFT along the rows.
+``heat_smooth`` and ``normalize`` also take a (values, radii) pair whose
+values stack such tables as (h, k, n), so a ladder of trial weights is
+smoothed and rescaled by one call each, row by row as one table would be.
 """
 
 from __future__ import annotations
@@ -169,7 +172,26 @@ class BoundaryMeasureSamples:
 
     def total_mass(self) -> float:
         """Total measure (periodic trapezoid, exact for trig polys)."""
-        return float(np.sum(2.0 * math.pi * np.mean(self.values, axis=1)))
+        return float(_mass(self.values))
+
+
+def _mass(values: np.ndarray) -> np.ndarray:
+    """Total measure of each (k, n) table in values, shape (..., k, n) -> (...)."""
+    return np.sum(2.0 * math.pi * np.mean(values, axis=-1), axis=-1)
+
+
+def _table(samples) -> tuple[np.ndarray, np.ndarray]:
+    """(values, radii) of a BoundaryMeasureSamples or of a (values, radii) pair."""
+    if isinstance(samples, BoundaryMeasureSamples):
+        return samples.values, samples.radii
+    return samples
+
+
+def _with_values(samples, values: np.ndarray):
+    """New values in the form of samples: a BoundaryMeasureSamples or a pair."""
+    if isinstance(samples, BoundaryMeasureSamples):
+        return BoundaryMeasureSamples(values, samples.radii)
+    return values, samples[1]
 
 
 def as_samples(domain: CircleDomain, density, n: int = 256) -> BoundaryMeasureSamples:
@@ -201,25 +223,33 @@ def as_samples(domain: CircleDomain, density, n: int = 256) -> BoundaryMeasureSa
     return BoundaryMeasureSamples(values, density.radii)
 
 
-def heat_smooth(samples: BoundaryMeasureSamples, eps: float) -> BoundaryMeasureSamples:
+def heat_smooth(samples, eps: float):
     """Heat-kernel smoothing of a boundary measure at time eps.
 
     Acts on every row of the table as the exact multiplier
     exp(-(2 pi m / ell_j)^2 eps) on the Fourier coefficients of the measure,
     where ell_j = 2 pi rho_j is the euclidean circumference of circle j.  Mass
-    is preserved exactly; eps = 0 is the identity.
+    is preserved exactly; eps = 0 is the identity.  ``samples`` is a
+    BoundaryMeasureSamples, or a (values, radii) pair whose values are one
+    (k, n) table or a stack (h, k, n) of them; the result has its form.
     """
     if eps < 0.0:
         raise ValueError("eps must be nonnegative")
-    coeff = np.fft.rfft(samples.values, axis=1)
-    m = np.arange(coeff.shape[1])
-    coeff *= np.exp(-((m / samples.radii[:, None]) ** 2) * eps)
-    return BoundaryMeasureSamples(np.fft.irfft(coeff, n=samples.n, axis=1), samples.radii)
+    values, radii = _table(samples)
+    coeff = np.fft.rfft(values, axis=-1)
+    m = np.arange(coeff.shape[-1])
+    coeff *= np.exp(-((m / radii[:, None]) ** 2) * eps)
+    return _with_values(samples, np.fft.irfft(coeff, n=values.shape[-1], axis=-1))
 
 
-def normalize(samples: BoundaryMeasureSamples) -> BoundaryMeasureSamples:
-    """Rescale a boundary measure so the total weighted length is 1; idempotent."""
-    L = samples.total_mass()
-    if not (L > 0.0):
+def normalize(samples):
+    """Rescale a boundary measure so the total weighted length is 1; idempotent.
+
+    Takes the forms ``heat_smooth`` takes; each table of a stack is rescaled
+    by its own mass, and any nonpositive one raises DomainError.
+    """
+    values, _ = _table(samples)
+    L = _mass(values)
+    if not np.all(L > 0.0):
         raise DomainError("degenerate measure: nonpositive total mass")
-    return BoundaryMeasureSamples(samples.values * (1.0 / L), samples.radii)
+    return _with_values(samples, values * (1.0 / L)[..., None, None])

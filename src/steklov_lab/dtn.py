@@ -10,8 +10,11 @@ mass matrix once (``boundary_matrices``) and takes every eigenpair by one
 Cholesky reduction to a standard symmetric problem on ``numpy.linalg``
 (the steps of LAPACK ``sygvd``, with the inverse of the factor built from
 matrix products); a request for the first ``n_eigs`` values keeps the first
-columns of that solve.  No run loads scipy: every kernel here runs on
-numpy's OpenBLAS, which ``_blas`` pinned.
+columns of that solve.  The Dirichlet block is the basis's own, so its
+factor is too: a basis forms the inverse factor on its first solve and
+every later solve on it reuses it (``HarmonicBasis.inverse_factor``).  No
+run loads scipy: every kernel here runs on numpy's OpenBLAS, which
+``_blas`` pinned.
 
 sigma_0 = 0 is returned with the constant eigenvector.  All returned
 eigenvalues are Rayleigh-Ritz upper bounds of the true Steklov eigenvalues
@@ -24,12 +27,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import HarmonicBasis, boundary_matrices, build_basis
+from .basis import HarmonicBasis, boundary_matrices, build_basis, dirichlet_inverse_factor
 from .domain import CircleDomain, as_samples
 
 CLUSTER_TOL = 1e-6
-# rows at which the blocked inverse of the Cholesky factor stops splitting
-INV_BLOCK = 64
 
 
 class MassMatrixDegenerate(ValueError):
@@ -109,8 +110,8 @@ def steklov_spectrum(
     samples = as_samples(domain, density, basis.n_quad)
     sys_ = boundary_matrices(basis, samples)
     return solve_eigensystem(
-        sys_.A, sys_.B, sys_.m, n_eigs, cluster_tol=cluster_tol,
-        metadata={"M": basis.M, "n_quad": basis.n_quad},
+        sys_.A, sys_.B, sys_.m, n_eigs, Li=basis.inverse_factor(),
+        cluster_tol=cluster_tol, metadata={"M": basis.M, "n_quad": basis.n_quad},
     )
 
 
@@ -119,31 +120,13 @@ def _check_n_eigs(n_eigs: int | None) -> None:
         raise ValueError(f"n_eigs must be at least 1 (sigma_0 counts), got {n_eigs}")
 
 
-def _lower_inverse(L: np.ndarray) -> np.ndarray:
-    """Inverse of a lower triangular L, exactly zero above the diagonal.
-
-    With L = [[L11, 0], [L21, L22]] the inverse is [[Li11, 0], [Li21, Li22]]
-    with Li21 = -Li22 L21 Li11, so above ``INV_BLOCK`` rows the work is two
-    matrix products per split; ``np.linalg.inv`` of the whole factor runs
-    LU on it and is several times slower at n = 484.
-    """
-    n = L.shape[0]
-    if n <= INV_BLOCK:
-        return np.tril(np.linalg.inv(L))
-    h = n // 2
-    Li = np.zeros_like(L)
-    Li[:h, :h] = Li11 = _lower_inverse(L[:h, :h])
-    Li[h:, h:] = Li22 = _lower_inverse(L[h:, h:])
-    Li[h:, :h] = -(Li22 @ L[h:, :h]) @ Li11
-    return Li
-
-
 def solve_eigensystem(
     A: np.ndarray,
     B: np.ndarray,
     m: np.ndarray,
     n_eigs: int | None = None,
     *,
+    Li: np.ndarray | None = None,
     cluster_tol: float = CLUSTER_TOL,
     metadata: dict | None = None,
 ) -> SteklovSpectrum:
@@ -153,15 +136,19 @@ def solve_eigensystem(
     and primes marking the non-constant block, the problem on {m . x = 0} is
     A' x' = sigma S x' with S = B' - m' m'^T / L.  A' is positive definite,
     so it is solved as S z = mu A' z with sigma = 1 / mu: A' = G G^T
-    (``potrf``), Li = G^-1 by ``_lower_inverse``, the eigenpairs (mu, y) of
-    the symmetrized C = Li S Li^T (``syevd``, as inside ``sygvd``) and
-    z = Li^T y, so z^T A' z = 1 and x' = z / sqrt(mu) is B-orthonormal.
-    Directions with mu <= (n - 1) eps mu_max carry no boundary mass and are
-    dropped: ``dropped`` counts them and ``rank`` the kept ones plus sigma_0,
-    over the whole solve.  ``n_eigs`` keeps the first n_eigs values and
-    columns of that solve.  A Dirichlet block that is not positive definite
-    raises LinAlgError, and a non-finite entry of A' or B' or an ``n_eigs``
-    below 1 raises ValueError.
+    (``potrf``) and Li = G^-1, the eigenpairs (mu, y) of the symmetrized
+    C = Li S Li^T (``syevd``, as inside ``sygvd``) and z = Li^T y, so
+    z^T A' z = 1 and x' = z / sqrt(mu) is B-orthonormal.  ``Li`` is that
+    inverse factor of this A' from the caller: ``steklov_spectrum`` passes
+    its basis's ``inverse_factor()``, formed on the basis's first solve.
+    Called with A alone, the solve forms Li by the same
+    ``dirichlet_inverse_factor``.  Directions with
+    mu <= (n - 1) eps mu_max carry no boundary mass and are dropped:
+    ``dropped`` counts them and ``rank`` the kept ones plus sigma_0, over
+    the whole solve.  ``n_eigs`` keeps the first n_eigs values and columns
+    of that solve.  A Dirichlet block that is not positive definite raises
+    LinAlgError, and a non-finite entry of A' or B' or an ``n_eigs`` below
+    1 raises ValueError; A' is checked where its factor is formed.
     """
     _check_n_eigs(n_eigs)
 
@@ -171,14 +158,11 @@ def solve_eigensystem(
         raise MassMatrixDegenerate(f"weighted boundary length {L_total} is not positive")
 
     mp = m[1:]
-    Ap = A[1:, 1:]
     S = B[1:, 1:] - np.outer(mp, mp) / L_total
-    if not (np.all(np.isfinite(Ap)) and np.all(np.isfinite(S))):
+    if not np.all(np.isfinite(S)):
         raise ValueError("Dirichlet or mass block has non-finite entries")
-    try:
-        Li = _lower_inverse(np.linalg.cholesky(Ap))
-    except np.linalg.LinAlgError:
-        raise np.linalg.LinAlgError("Dirichlet block is not positive definite") from None
+    if Li is None:
+        Li = dirichlet_inverse_factor(A)
     # the two triangles of C = Li S Li^T round differently and eigh reads one
     C = Li @ S @ Li.T
     mu, Y = np.linalg.eigh(0.5 * (C + C.T))

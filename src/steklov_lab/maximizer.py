@@ -24,6 +24,7 @@ from .domain import (
     BoundaryDensity,
     BoundaryMeasureSamples,
     CircleDomain,
+    DomainError,
     Hole,
     as_samples,
     heat_smooth,
@@ -47,6 +48,9 @@ BAND = 9
 # value by more than this relative margin is rejected without a solve; the
 # bound has never been seen below the solved value by more than 4.1e-15
 SCREEN_MARGIN = 1e-10
+# the halving ladder of one direction is built and screened this many trials
+# at a time, as one (h, k, n_quad) stack; 6 covers a probe's whole ladder
+LADDER_CHUNK = 6
 # configuration search: each probe is a short ascent at degree PROBE_M over
 # PROBE_SCHEDULE; the simplex stops after NM_ITERS steps or once its values
 # agree to NM_FTOL (relative) or its vertices to NM_XTOL
@@ -192,36 +196,70 @@ def _cluster_directions(basis, samples, spec):
     return [d for d in dirs + [d_strict] if d is not None]
 
 
-def _step_candidate(samples, direction, s, eps):
-    """Multiplicative step of size s, then smoothing and unit total mass."""
-    cand = BoundaryMeasureSamples(samples.values * np.exp(s * direction), samples.radii)
-    return normalize(heat_smooth(cand, eps))
+def _step_candidates(samples, direction, steps, eps):
+    """Trial tables of the step sizes steps, (len(steps), k, n) at once.
+
+    Each is the weight times exp(s * direction), smoothed at eps and
+    rescaled to unit total mass; one ``heat_smooth`` and one ``normalize``
+    call act on the whole stack, each table as it would alone.
+    """
+    stack = samples.values * np.exp(np.asarray(steps)[:, None, None] * direction)
+    return normalize(heat_smooth((stack, samples.radii), eps))[0]
+
+
+def _ladder(samples, direction, steps, eps, ritz):
+    """(s, table, bound) of each step size in order; a bound of None means solve.
+
+    Tables and bounds are formed LADDER_CHUNK steps at a time, as one stack.
+    A chunk with a degenerate table (DomainError) or with a pencil that has
+    no Cholesky factor (``ritz`` gives None) is redone one step at a time,
+    so the error surfaces at its own step after the steps before it, and
+    only a trial without a bound of its own is solved unscreened.
+    """
+    for i in range(0, len(steps), LADDER_CHUNK):
+        part = steps[i:i + LADDER_CHUNK]
+        try:
+            tables = _step_candidates(samples, direction, part, eps)
+            bounds = ritz(tables)
+        except DomainError:
+            if len(part) == 1:
+                raise
+            bounds = None
+        if bounds is None and len(part) > 1:
+            for s in part:
+                yield from _ladder(samples, direction, [s], eps, ritz)
+            continue
+        for j, s in enumerate(part):
+            yield s, tables[j], None if bounds is None else bounds[j]
 
 
 def _ritz_screen(basis, spec):
     """Ritz values times weighted length for trial weights, from spec's first columns.
 
     V holds the first BAND eigenvector columns of spec, the constant among
-    them.  For a weight table the returned function gives the eigenvalues of
-    the pencil (V^T A V, V^T B(w) V), ascending and multiplied by the weight's
-    total mass, or None when V^T B(w) V is not positive definite.  Element 0
-    is 0 up to rounding (the constant), and element 1 bounds the weight's
-    sigma_1 * L from above by the Poincare separation.  V^T B(w) V is
-    (U w) U^T with the traces U = V^T P formed once here.
+    them.  For an (h, k, n_quad) stack of weight tables the returned
+    function gives, row by row, the eigenvalues of each pencil
+    (V^T A V, V^T B(w) V), ascending and multiplied by the weight's total
+    mass, or None when some V^T B(w) V of the stack is not positive
+    definite.  Element 0 is 0 up to rounding (the constant), and element 1
+    bounds the weight's sigma_1 * L from above by the Poincare separation.
+    V^T B(w) V is (U w) U^T with the traces U = V^T P formed once here, and
+    one stacked product, ``cholesky``, ``inv`` and ``eigvalsh`` serve the
+    whole stack.
     """
     V = spec.eigenvectors[:, :BAND]
     AV = V.T @ dirichlet_matrix(basis) @ V
     U = V.T @ basis.traces().reshape(basis.size, -1)
     scale = 2.0 * math.pi / basis.n_quad
 
-    def ritz_values(samples):
-        w = samples.values.reshape(-1) * scale
+    def ritz_values(stack):
+        w = stack.reshape(len(stack), -1) * scale
         try:
-            R = np.linalg.cholesky((U * w) @ U.T)
+            R = np.linalg.cholesky((U * w[:, None, :]) @ U.T)
         except np.linalg.LinAlgError:
             return None
         Ri = np.linalg.inv(R)
-        return np.linalg.eigvalsh(Ri @ AV @ Ri.T) * np.sum(w)
+        return np.linalg.eigvalsh(Ri @ AV @ Ri.mT) * np.sum(w, axis=-1)[:, None]
 
     return ritz_values
 
@@ -298,16 +336,22 @@ def optimize_density(domain, init_density, eps_schedule=EPS_SCHEDULE,
     sigma_1 * L from above, and a bound below value * (1 - SCREEN_MARGIN)
     rejects it without a solve.  A screened candidate takes one budget unit
     and halves s as a solved rejection does, so the search and every
-    returned value are those of the unscreened ascent.  The budget, when
-    given, is shared with the caller and the best state so far is returned
-    once it runs out; a level whose first solve does not fit leaves the
-    previous level's state.
+    returned value are those of the unscreened ascent.  The ladder s, s/2,
+    ... of at most ``halvings`` trials (below 1 raises ValueError) is built
+    and screened LADDER_CHUNK trials at a time as one stack, then walked in
+    order: each trial is screened or solved, so a budget or domain error
+    surfaces at the trial where the one-at-a-time walk meets it.  The
+    budget, when given, is shared with the caller and the best state so far
+    is returned once it runs out; a level whose first solve does not fit
+    leaves the previous level's state.
     """
     eps_schedule = tuple(float(e) for e in eps_schedule)
     if not eps_schedule or any(e <= 0.0 for e in eps_schedule):
         raise ValueError("eps_schedule must be positive")
     if any(b > a for a, b in zip(eps_schedule, eps_schedule[1:])):
         raise ValueError("eps_schedule must be nonincreasing")
+    if halvings < 1:
+        raise ValueError(f"halvings must be at least 1, got {halvings}")
     basis = build_basis(domain, M)
     if budget is None:
         budget = EigensolveBudget()
@@ -340,25 +384,22 @@ def optimize_density(domain, init_density, eps_schedule=EPS_SCHEDULE,
                 accepted = None
                 ritz = _ritz_screen(basis, spec)
                 floor = value * (1.0 - SCREEN_MARGIN)
+                steps = [s0]
+                while len(steps) < halvings and steps[-1] * 0.5 >= 1e-9:
+                    steps.append(steps[-1] * 0.5)
                 for d in dirs:
-                    s = s0
-                    for _h in range(halvings):
-                        cand = _step_candidate(dens, d, s, eps)
-                        bound = ritz(cand)
+                    for s, table, bound in _ladder(dens, d, steps, eps, ritz):
                         if bound is not None and bound[1] < floor:
                             budget.take()
                             budget.screened += 1
-                        else:
-                            cspec = solve(cand)
-                            cval = cspec.sigma1_L
-                            if cval > value:
-                                accepted = (cand, cspec, cval)
-                                break
-                        s *= 0.5
-                        if s < 1e-9:
+                            continue
+                        cand = BoundaryMeasureSamples(table, dens.radii)
+                        cspec = solve(cand)
+                        if cspec.sigma1_L > value:
+                            accepted = (cand, cspec, cspec.sigma1_L)
+                            s0 = min(1.0, 8.0 * s)
                             break
                     if accepted is not None:
-                        s0 = min(1.0, 8.0 * s)
                         break
                 if accepted is None:
                     # only a phase that never moved counts as stalled; running

@@ -229,6 +229,26 @@ def test_heat_smooth_damps_high_modes():
     assert wiggle < 1e-3 * (np.max(samples.values[0]) - np.min(samples.values[0]))
 
 
+def test_stack_is_smoothed_and_normalized_table_by_table():
+    # a (values, radii) pair with an (h, k, n) stack gives, bitwise, the
+    # tables that each one alone gives as BoundaryMeasureSamples
+    rng = np.random.default_rng(5)
+    radii = np.array([1.0, 0.3, 0.05])
+    stack = np.exp(rng.normal(0.0, 0.4, (4, 3, 128))) * radii[:, None]
+    for eps in (0.0, 1e-3, 0.1):
+        smoothed, same = heat_smooth((stack, radii), eps)
+        unit, _ = normalize((smoothed, radii))
+        assert same is radii and unit.shape == stack.shape
+        for j, table in enumerate(stack):
+            one = heat_smooth(BoundaryMeasureSamples(table, radii), eps)
+            assert np.array_equal(smoothed[j], one.values)
+            assert np.array_equal(unit[j], normalize(one).values)
+    # one table of nonpositive mass refuses the whole stack
+    stack[2] *= -1.0
+    with pytest.raises(DomainError):
+        normalize((stack, radii))
+
+
 def test_heat_smooth_rejects_negative_eps():
     samples = BoundaryMeasureSamples((np.ones(16),), (1.0,))
     with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from steklov_lab import basis as basis_module
 from steklov_lab import dtn
 from steklov_lab.basis import boundary_matrices, build_basis, dirichlet_matrix
 from steklov_lab.closedform import annulus_spectrum
@@ -216,11 +217,11 @@ def test_matches_cholesky_reference_on_seeded_domains():
 def test_blocked_inverse_of_the_dirichlet_factor(n):
     # the leading n x n block of a Cholesky factor is the factor of the
     # leading block of A', on either side of the base size INV_BLOCK = 64
-    assert dtn.INV_BLOCK == 64
+    assert basis_module.INV_BLOCK == 64
     for seed in (7, 8, 9):
         dom, _ = _seeded_weighted_domain(seed, 5)
         G = np.linalg.cholesky(dirichlet_matrix(build_basis(dom, 48))[1:, 1:])[:n, :n]
-        Li = dtn._lower_inverse(G)
+        Li = basis_module._lower_inverse(G)
         assert Li.shape == (n, n)
         assert np.all(np.triu(Li, 1) == 0.0)
         assert np.max(np.abs(Li @ G - np.eye(n))) <= 1e-13
@@ -420,6 +421,44 @@ def test_indefinite_dirichlet_block_raises():
     A = np.diag([0.0, 1.0, -1.0])
     with pytest.raises(np.linalg.LinAlgError, match="Dirichlet block is not positive definite"):
         solve_eigensystem(A, np.eye(3), np.array([1.0, 0.0, 0.0]))
+
+
+def test_one_factorization_per_basis(monkeypatch):
+    # N solves on one basis factor its Dirichlet block once, on the first
+    # solve; a basis used only for the certificate's traces never does
+    calls = []
+    cholesky, lower_inverse = np.linalg.cholesky, basis_module._lower_inverse
+
+    def counted_cholesky(a):
+        calls.append("potrf")
+        return cholesky(a)
+
+    def counted_inverse(L):
+        # the blocked inverse calls itself on the halves of a factor
+        if L.shape[0] == basis.size - 1:
+            calls.append("inverse")
+        return lower_inverse(L)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
+    monkeypatch.setattr(basis_module, "_lower_inverse", counted_inverse)
+    dom, _ = _seeded_weighted_domain(3, 5)
+    basis = build_basis(dom, 8)
+    rng = np.random.default_rng(3)
+    weights = [BoundaryDensity(tuple((0.0, *rng.normal(0.0, 0.3, 4)) for _ in range(dom.k)))
+               for _ in range(4)]
+    specs = [steklov_spectrum(dom, w, basis=basis) for w in weights]
+    assert calls == ["potrf", "inverse"]
+    assert basis.inverse_factor() is basis.inverse_factor()
+    # each solve is the one that factors its own A, bitwise
+    for w, spec in zip(weights, specs):
+        mats = boundary_matrices(basis, as_samples(dom, w, basis.n_quad))
+        ref = solve_eigensystem(mats.A, mats.B, mats.m, metadata=spec.metadata)
+        assert np.array_equal(ref.eigenvalues, spec.eigenvalues)
+        assert np.array_equal(ref.eigenvectors, spec.eigenvectors)
+    calls.clear()
+    fresh = build_basis(dom, 8)
+    extremality_certificate(dom, weights[0], specs[0].eigenvectors[:, 1:3], basis=fresh)
+    assert calls == [] and fresh._inverse_factor is None
 
 
 def test_rank_deficient_mass_drops_columns():

@@ -1,15 +1,17 @@
+import gc
 import math
 
 import numpy as np
 import pytest
 
 from steklov_lab import maximizer
-from steklov_lab.basis import build_basis
+from steklov_lab.basis import build_basis, dirichlet_matrix
 from steklov_lab.closedform import critical_parameter, critical_sigma1L
 from steklov_lab.domain import (
     BoundaryDensity,
     BoundaryMeasureSamples,
     CircleDomain,
+    DomainError,
     Hole,
     as_samples,
     normalize,
@@ -474,14 +476,119 @@ def test_ritz_bound_lies_above_the_solved_value():
         rng = np.random.default_rng(100 + seed)
         for d in _cluster_directions(basis, samples, spec):
             for s in (1.0, 2.0 ** -3, 2.0 ** -8):
-                cand = maximizer._step_candidate(samples, d, s, rng.choice([1e-1, 1e-2, 1e-3]))
-                vals = ritz(cand)
+                table = maximizer._step_candidates(
+                    samples, d, [s], rng.choice([1e-1, 1e-2, 1e-3]))
+                vals = ritz(table)[0]
+                cand = BoundaryMeasureSamples(table[0], samples.radii)
                 solved = steklov_spectrum(basis.domain, cand, basis=basis).sigma1_L
                 assert vals.shape == (maximizer.BAND,)
                 assert abs(vals[0]) <= 1e-12 * vals[1]  # the constant
                 assert vals[1] >= solved * (1.0 - 1e-13)
                 below += vals[1] < spec.sigma1_L
     assert below > 0  # trials that the screen rejects are among them
+
+
+def _one_trial_table(samples, direction, s, eps):
+    """Reference: one trial weight's table as the ascent built it alone."""
+    values = samples.values * np.exp(s * direction)
+    coeff = np.fft.rfft(values, axis=1)
+    coeff *= np.exp(-((np.arange(coeff.shape[1]) / samples.radii[:, None]) ** 2) * eps)
+    values = np.fft.irfft(coeff, n=samples.n, axis=1)
+    return values * (1.0 / float(np.sum(2.0 * math.pi * np.mean(values, axis=1))))
+
+
+def _one_trial_ritz(basis, spec, table):
+    """Reference: one trial's Ritz values times its mass, None without a factor."""
+    V = spec.eigenvectors[:, :maximizer.BAND]
+    AV = V.T @ dirichlet_matrix(basis) @ V
+    U = V.T @ basis.traces().reshape(basis.size, -1)
+    w = table.reshape(-1) * (2.0 * math.pi / basis.n_quad)
+    try:
+        R = np.linalg.cholesky((U * w) @ U.T)
+    except np.linalg.LinAlgError:
+        return None
+    Ri = np.linalg.inv(R)
+    return np.linalg.eigvalsh(Ri @ AV @ Ri.T) * np.sum(w)
+
+
+def test_stacked_ladder_is_the_one_trial_computation():
+    # the stack rests on pocketfft transforming each row on its own and on
+    # numpy's stacked matmul, cholesky, inv and eigvalsh running the same
+    # kernel per matrix: tables and bounds are bitwise the one-trial ones
+    for seed in range(12):
+        basis, samples, spec = _seeded_state(seed)
+        ritz = maximizer._ritz_screen(basis, spec)
+        rng = np.random.default_rng(200 + seed)
+        for d in _cluster_directions(basis, samples, spec):
+            eps = rng.choice([1e-1, 1e-2, 1e-3])
+            steps = [rng.choice([1.0, 2.0 ** -3]) * 0.5 ** j for j in range(8)]
+            walked = list(maximizer._ladder(samples, d, steps, eps, ritz))
+            assert [s for s, _, _ in walked] == steps
+            for s, table, bound in walked:
+                ref = _one_trial_table(samples, d, s, eps)
+                assert np.array_equal(table, ref)
+                assert np.array_equal(bound, _one_trial_ritz(basis, spec, ref))
+            # a stack in which the third table's pencil has no Cholesky
+            # factor: the chunk is redone one trial at a time, that trial (and
+            # any with a bitwise equal table) gets no bound, so it is solved,
+            # and the rest keep theirs
+            bad = walked[2][1]
+            assert _one_trial_ritz(basis, spec, -bad) is None
+
+            def screen(stack):
+                flip = np.array([np.array_equal(t, bad) for t in stack])
+                return ritz(np.where(flip[:, None, None], -stack, stack))
+
+            assert screen(np.stack([t for _, t, _ in walked[:maximizer.LADDER_CHUNK]])) is None
+            redone = list(maximizer._ladder(samples, d, steps, eps, screen))
+            assert [s for s, _, _ in redone] == steps
+            for (_, table, bound), (_, again, rebound) in zip(walked, redone):
+                assert np.array_equal(again, table)
+                if np.array_equal(table, bad):
+                    assert rebound is None
+                else:
+                    assert np.array_equal(rebound, bound)
+
+
+def test_ladder_raises_at_the_trial_of_a_degenerate_weight():
+    # the weight's mass e^s - 1.1 e^-s (times pi) turns negative below
+    # s = 0.0477: the sixth step of the ladder, inside the first chunk, is
+    # degenerate, and the five before it are walked first
+    half = np.arange(256) < 128
+    samples = BoundaryMeasureSamples((np.where(half, 1.0, -1.1),), (1.0,))
+    d = np.where(half, 1.0, -1.0)[None, :]
+    steps = [0.5 ** j for j in range(8)]
+    walked = []
+    with pytest.raises(DomainError):
+        for s, _, bound in maximizer._ladder(samples, d, steps, 1e-2, lambda stack: None):
+            assert bound is None
+            walked.append(s)
+    assert walked == steps[:5]
+
+
+def test_an_ascent_leaves_no_reference_cycle():
+    # the screen of each state and the ladder's stacks are freed by reference
+    # counting alone; a screen function that referred to itself kept its
+    # traces alive until a collection, and a sweep's peak memory grew
+    dom = CircleDomain((Hole(0.3, 0.2),))
+    seed = BoundaryDensity(((0.0, 0.3, 0.0), (0.1,)))
+    gc.collect()
+    gc.disable()
+    try:
+        st = optimize_density(dom, seed, (3e-2, 1e-3), 8, M=8, halvings=6)
+        assert st.screened > 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("halvings", [0, -3])
+def test_halvings_below_one_raises(halvings):
+    # an empty ladder tries no step: the ascent returned a stalled state
+    # after one eigensolve
+    with pytest.raises(ValueError, match="halvings"):
+        optimize_density(DISK, BoundaryDensity(((0.0, 0.4, 0.0),)), (1e-2,), 5,
+                         M=8, halvings=halvings)
 
 
 @pytest.mark.parametrize("dom, seed, schedule, iters, M", [
